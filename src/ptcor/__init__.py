@@ -43,7 +43,6 @@ from .scenario import Scenario, ScenarioError, load_scenario, write_scenario
 from .sim import (
     BaselineConstants,
     ClosedLoopModel,
-    ClosedLoopState,
     MuSchedule,
     SimConfig,
     Trajectory,
@@ -51,9 +50,6 @@ from .sim import (
     integrate,
     kappa,
     mu,
-    rhs_baseline,
-    rhs_output_fb,
-    rhs_state_fb,
     sig,
 )
 from .synthesis import (

@@ -135,11 +135,10 @@ def cmd_synth(args) -> int:
     return EXIT_OK
 
 
-def _run_and_write(scenario: Scenario, args, mode: str | None = None):
-    cfg = scenario.sim_config if mode is None else replace(scenario.sim_config, mode=mode)
-    traj = integrate(scenario, cfg)
+def _run_and_write(scenario: Scenario, args, model=None):
+    traj = integrate(scenario, model=model)
     out = _out_dir(args)
-    csv_path = out / f"{scenario.name}_{cfg.mode}_trajectory.csv"
+    csv_path = out / f"{scenario.name}_{scenario.sim_config.mode}_trajectory.csv"
     traj.to_csv(csv_path)
     return traj, csv_path
 
@@ -157,7 +156,7 @@ def cmd_simulate(args) -> int:
 def cmd_certify(args) -> int:
     scenario = _load(args)
     model = compile_model(scenario)
-    traj, csv_path = _run_and_write(scenario, args)
+    traj, csv_path = _run_and_write(scenario, args, model)
     rates = observer_rate(partition_laplacian(scenario.network))
     theta = model.gains.theta_min()
     envelope = EnvelopeParams.from_rates(rates, model.gains.psi, scenario.exo.S0, theta=theta)

@@ -1,4 +1,4 @@
-"""Time-varying closed loop: gain schedule, observers, controllers, integrator.
+"""Time-varying closed loop: gain schedule, error-coordinate operator, integrator.
 
 The prescribed-time gain
 
@@ -10,18 +10,26 @@ blows up as t approaches the horizon.  Numerically, mu is capped at
 trajectory coincides with the exact one up to O(1/mu_cap) because all
 mu-weighted signals stay bounded for admissible gains.
 
-Integration coordinates.  For the prescribed-time modes the loop is
-integrated in regulation-error coordinates (v0, v_i - v0, x_i - X_i v0,
-xhat_i - x_i), in which the closed loop is linear time-varying,
-``y' = (M0 + mu(t) M1) y``.  Given the regulator equations this form is
-algebraically identical to the plant coordinates, and it keeps the
+Integration coordinates.  All four modes integrate the loop in
+regulation-error coordinates y = (v0, v_i - v0, x_i - X_i v0, xhat_i - x_i),
+the last block absent under state feedback, with one operator
+
+    y' = M0 y + mu(t) M1 y + G rho(W y).
+
+The prescribed-time modes are linear time-varying (no relay term), the
+asymptotic baseline is LTI (no M1), and the fixed-time baseline is LTI plus
+the relay rho = a sign + b sig(., c4) acting on the consensus disagreement,
+the tracking error and the innovation.  Given the regulator equations this
+form is algebraically identical to the plant coordinates, and it keeps the
 terminal-phase signals well scaled: near the horizon the physical states
 agree to machine precision while the errors span many decades, so
 differencing O(1) states there would drown the recorded signals in
-rounding noise.  The plant-coordinate right-hand sides are exposed as
-`rhs_state_fb` / `rhs_output_fb` and cross-checked against the error form
-in the test suite.  Baseline controllers carry no singular gain and are
-integrated in plant coordinates directly.
+rounding noise.  The literal plant-coordinate right-hand sides live in the
+test suite (``tests/oracle.py``) as an independent cross-check.
+
+The RK4 loop keeps only the sampled (t, y); every recorded column is derived
+afterwards from the stacked samples with a few matrix products, and the raw
+samples stay available as `Trajectory.y`.
 
 The stepper is classic explicit RK4 with the pre-horizon step size shrunk
 proportionally to 1/mu: ``dt_eff = min(dt, guard/mu)``.  That keeps the
@@ -40,13 +48,12 @@ import scipy.linalg
 
 from .graph import Network, partition_laplacian
 from .plant import Exosystem
-from .synthesis import GainSet
+from .synthesis import KTIL_CONSISTENCY_TOL, GainSet, SynthesisError, ktil_mismatch
 
 ESCAPE_NORM = 1e9
 
 MODES = ("state_fb", "output_fb", "baseline_asymptotic", "baseline_fixed_time")
 PTCOR_MODES = ("state_fb", "output_fb")
-BASELINE_KINDS = ("asymptotic", "fixed_time")
 
 CSV_FIXED_COLUMNS = [
     "t", "mu", "||e||", "||v_tilde||", "||x_bar||", "||x_tilde||", "||u_tilde||",
@@ -147,37 +154,17 @@ def sig(z, c: float) -> np.ndarray:
     return np.sign(z) * np.abs(z) ** c
 
 
-def _split_by_dims(flat: np.ndarray, dims: list) -> list:
-    out, start = [], 0
-    for d in dims:
-        out.append(flat[start:start + d].copy())
-        start += d
-    return out
-
-
-@dataclass(eq=False)
-class ClosedLoopState:
-    """Plant-coordinate snapshot: leader state, observer states, plant states.
-
-    `xhat` is None in state-feedback configurations.
-    """
-
-    v0: np.ndarray
-    v: np.ndarray          # (N, q)
-    x: list                # N vectors, agent i of length n_i
-    xhat: list | None = None
-
-
 @dataclass(eq=False)
 class Trajectory:
     """Sampled closed-loop states and the signals derived from them.
 
-    `states` holds plant-coordinate snapshots, one per sample; every other
-    column is recomputed from the state at recording time, never integrated
-    separately.  Columns that do not exist in a mode (x_tilde and phi3/phi4
-    under state feedback, every phi for baselines) are None and serialize
-    as empty CSV fields.  CSV round-trips carry the derived columns only,
-    so `states` is None on a loaded trajectory.
+    `y` holds the raw samples in error coordinates, one row per sample
+    (see the module docstring for the layout); every other column is
+    derived from them after integration, never integrated separately.
+    Columns that do not exist in a mode (x_tilde and phi3/phi4 under state
+    feedback, every phi for baselines) are None and serialize as empty CSV
+    fields.  CSV round-trips carry the derived columns only, so `y` is None
+    on a loaded trajectory.
     """
 
     mode: str
@@ -191,7 +178,7 @@ class Trajectory:
     u_tilde_norm: np.ndarray
     phi: dict                           # {1..4: ndarray or None}
     output_dims: list                   # p_i per agent, for column labels
-    states: list | None = None          # ClosedLoopState per sample
+    y: np.ndarray | None = None         # (S, dim) raw error-coordinate samples
     finite_escape: bool = False
     escape_time: float | None = None
     diagnostic: str = ""
@@ -216,23 +203,13 @@ class Trajectory:
         return names
 
     def to_csv(self, path) -> None:
-        cols = CSV_FIXED_COLUMNS + self.e_columns()
-        phi_arrays = [self.phi.get(k) for k in (1, 2, 3, 4)]
-
-        def cell(value) -> str:
-            return "" if value is None else f"{value:.15g}"
-
+        fixed = [self.t, self.mu, self.e_norm, self.v_tilde_norm, self.x_bar_norm,
+                 self.x_tilde_norm, self.u_tilde_norm] + [self.phi.get(k) for k in (1, 2, 3, 4)]
         with open(path, "w", encoding="utf-8") as fh:
-            fh.write(", ".join(cols) + "\n")
+            fh.write(", ".join(CSV_FIXED_COLUMNS + self.e_columns()) + "\n")
             for s in range(len(self.t)):
-                row = [
-                    cell(self.t[s]), cell(self.mu[s]), cell(self.e_norm[s]),
-                    cell(self.v_tilde_norm[s]), cell(self.x_bar_norm[s]),
-                    cell(None if self.x_tilde_norm is None else self.x_tilde_norm[s]),
-                    cell(self.u_tilde_norm[s]),
-                ]
-                row += [cell(None if arr is None else arr[s]) for arr in phi_arrays]
-                row += [cell(v) for v in self.e[s]]
+                row = ["" if arr is None else f"{arr[s]:.15g}" for arr in fixed]
+                row += [f"{v:.15g}" for v in self.e[s]]
                 fh.write(", ".join(row) + "\n")
 
     @classmethod
@@ -242,14 +219,11 @@ class Trajectory:
             rows = [[c.strip() for c in line.split(",")] for line in fh if line.strip()]
         if header[: len(CSV_FIXED_COLUMNS)] != CSV_FIXED_COLUMNS:
             raise ValueError(f"unrecognized trajectory header: {header[:11]}")
+        if not rows:
+            raise ValueError(f"{path}: trajectory CSV has a header but no samples")
         e_names = header[len(CSV_FIXED_COLUMNS):]
-        dims: list[int] = []
-        for name in e_names:
-            parts = name.split("_")
-            agent = int(parts[1])
-            while len(dims) < agent:
-                dims.append(0)
-            dims[agent - 1] += 1
+        agents = [int(name.split("_")[1]) for name in e_names]
+        dims = [agents.count(i) for i in range(1, max(agents, default=0) + 1)]
 
         def column(idx: int) -> np.ndarray | None:
             vals = [r[idx] for r in rows]
@@ -260,7 +234,7 @@ class Trajectory:
         ncol = len(header)
         data = [column(i) for i in range(ncol)]
         e = np.column_stack([data[i] for i in range(len(CSV_FIXED_COLUMNS), ncol)]) \
-            if rows else np.zeros((0, len(e_names)))
+            if e_names else np.zeros((len(rows), 0))
         return cls(
             mode=mode, t=data[0], mu=data[1], e=e, e_norm=data[2],
             v_tilde_norm=data[3], x_bar_norm=data[4], x_tilde_norm=data[5],
@@ -273,9 +247,8 @@ class Trajectory:
 class ClosedLoopModel:
     """Lumped block-matrix form of one scenario's closed loop.
 
-    Assembles the stacked plant/gain matrices once so both the literal
-    per-agent right-hand sides and the fast integrator share one source of
-    model data.
+    Assembles the stacked plant/gain matrices once; the error-coordinate
+    operator of every mode is built from them.
     """
 
     def __init__(self, network: Network, agents: list, exo: Exosystem,
@@ -294,9 +267,8 @@ class ClosedLoopModel:
         self.regs = regs
         self.schedule = schedule
         self.N, self.q = N, q
-        self.n_i = [a.n for a in agents]
         self.p_i = [a.p for a in agents]
-        self.nx = sum(self.n_i)
+        self.nx = sum(a.n for a in agents)
         self.H = partition_laplacian(network).H
         self.Hq = np.kron(self.H, np.eye(q))
 
@@ -306,15 +278,10 @@ class ClosedLoopModel:
         self.C_blk = bd(*[a.C for a in agents])
         self.D_blk = bd(*[a.D for a in agents])
         self.Cm_blk = bd(*[a.Cm for a in agents])
-        self.Dm_blk = bd(*[a.Dm for a in agents])
         self.E_blk = bd(*[a.E for a in agents])          # acts on stacked per-agent v
         self.Fm_blk = bd(*[a.Fm for a in agents])
-        self.E_stack = np.vstack([a.E for a in agents])  # acts on v0
-        self.F_stack = np.vstack([a.F for a in agents])
-        self.Fm_stack = np.vstack([a.Fm for a in agents])
         self.X_blk = bd(*[r.X for r in regs])
-        self.X_stack = np.vstack([r.X for r in regs])
-        self.U_stack = np.vstack([r.U for r in regs])
+        self.X_stack = np.vstack([r.X for r in regs])    # acts on v0
         self.Kbar_blk = bd(*gains.Kbar)
         self.Ktil_blk = bd(*gains.Ktil)
         self.K_blk = bd(*gains.K)
@@ -324,28 +291,6 @@ class ClosedLoopModel:
             self.Ltil_blk = bd(*gains.Ltil)
         else:
             self.L_blk = self.Ltil_blk = None
-
-    # -- plant-coordinate helpers -------------------------------------------------
-
-    def split_state(self, state: ClosedLoopState):
-        return (np.asarray(state.v0, dtype=float),
-                np.asarray(state.v, dtype=float),
-                [np.asarray(xi, dtype=float) for xi in state.x],
-                None if state.xhat is None else [np.asarray(h, dtype=float) for h in state.xhat])
-
-    def consensus_terms(self, v0: np.ndarray, v: np.ndarray) -> np.ndarray:
-        """Per-agent neighbourhood disagreement sum_j a_ij (v_j - v_i), leader included."""
-        A = self.network.adjacency
-        out = np.zeros_like(v)
-        for i in range(1, self.N + 1):
-            acc = np.zeros(self.q)
-            for j in range(self.N + 1):
-                w = A[i, j]
-                if w > 0:
-                    vj = v0 if j == 0 else v[j - 1]
-                    acc += w * (vj - v[i - 1])
-            out[i - 1] = acc
-        return out
 
 
 def compile_model(scenario) -> ClosedLoopModel:
@@ -359,351 +304,160 @@ def compile_model(scenario) -> ClosedLoopModel:
                            gains, regs, scenario.mu_schedule)
 
 
-# -- literal right-hand sides (plant coordinates) ----------------------------------
+def _place(shape: tuple, blocks: list) -> np.ndarray:
+    """Zero matrix of `shape` with each (rows, cols, block) written in order."""
+    out = np.zeros(shape)
+    for rows, cols, blk in blocks:
+        out[rows, cols] = blk
+    return out
 
 
-def _check_finite(arrs, t: float) -> None:
-    for a in arrs:
-        if not np.all(np.isfinite(a)):
-            raise FloatingPointError(f"non-finite derivative at t = {t:.9g}; integration aborted")
+class _Operator:
+    """One mode's closed loop in error coordinates, y' = M0 y + mu M1 y + G rho(W y).
 
-
-def rhs_state_fb(state: ClosedLoopState, t: float, model: ClosedLoopModel) -> ClosedLoopState:
-    """Distributed observer plus state-feedback controller, written per agent."""
-    v0, v, x, _ = model.split_state(state)
-    m = mu(model.schedule, t)
-    g = model.gains
-    dv0 = model.exo.S0 @ v0
-    dv = model.exo.S0 @ v.T
-    dv = dv.T + g.psi * m * model.consensus_terms(v0, v)
-    dx = []
-    for i, agent in enumerate(model.agents):
-        u_i = g.Kbar[i] @ x[i] + g.Ktil[i] @ v[i] + m * (g.K[i] @ (x[i] - model.regs[i].X @ v[i]))
-        dx.append(agent.A @ x[i] + agent.B @ u_i + agent.E @ v0)
-    _check_finite([dv0, dv] + dx, t)
-    return ClosedLoopState(v0=dv0, v=dv, x=dx, xhat=None)
-
-
-def rhs_output_fb(state: ClosedLoopState, t: float, model: ClosedLoopModel) -> ClosedLoopState:
-    """Distributed observer, local observers, and measurement-feedback controller.
-
-    The feedthrough Dm u appears in both the measurement and the observer
-    reconstruction, so it cancels from the innovation; u is computed first
-    from the observer state and substituted, no implicit solve is needed.
+    `M1` is None for the baselines and `W`/`G` are None except for the
+    fixed-time baseline.  The row maps `chi`, `track` and `innov` give the
+    consensus disagreement -Hq v_tilde, the tracking error xhat - X v (x
+    under state feedback) and the innovation; the control deviation is
+    u_tilde = U0 y + mu U1 y, plus K r(track) with r = sign + sig(., c4)
+    under the fixed-time relay, and the regulated output is e = C x_bar +
+    D u_tilde.
     """
-    if model.L_blk is None:
-        raise ValueError("model has no output-injection gains; synth L/Ltil first")
-    v0, v, x, xhat = model.split_state(state)
-    if xhat is None:
-        raise ValueError("output-feedback mode needs observer states xhat")
-    m = mu(model.schedule, t)
-    g = model.gains
-    dv0 = model.exo.S0 @ v0
-    dv = (model.exo.S0 @ v.T).T + g.psi * m * model.consensus_terms(v0, v)
-    dx, dxh = [], []
-    for i, agent in enumerate(model.agents):
-        u_i = g.Kbar[i] @ xhat[i] + g.Ktil[i] @ v[i] + m * (g.K[i] @ (xhat[i] - model.regs[i].X @ v[i]))
-        y_i = agent.Cm @ x[i] + agent.Dm @ u_i + agent.Fm @ v0
-        innovation = y_i - agent.Cm @ xhat[i] - agent.Dm @ u_i - agent.Fm @ v[i]
-        dx.append(agent.A @ x[i] + agent.B @ u_i + agent.E @ v0)
-        dxh.append(agent.A @ xhat[i] + agent.B @ u_i + agent.E @ v[i]
-                   + (g.L[i] + m * g.Ltil[i]) @ innovation)
-    _check_finite([dv0, dv] + dx + dxh, t)
-    return ClosedLoopState(v0=dv0, v=dv, x=dx, xhat=dxh)
 
+    def __init__(self, model: ClosedLoopModel, mode: str, constants: BaselineConstants):
+        observer = mode != "state_fb"
+        if observer and model.L_blk is None:
+            raise ValueError(f"{mode} uses the local observer; synth L/Ltil first")
+        worst = max(ktil_mismatch(model.gains, model.regs))
+        if worst > KTIL_CONSISTENCY_TOL:
+            raise SynthesisError(
+                f"feedforward Ktil deviates from U - Kbar X by {worst:.3g} "
+                f"(> {KTIL_CONSISTENCY_TOL:g}); the error-coordinate loop would not be the plant's")
+        self.model, self.schedule = model, model.schedule
+        self.guarded = mode in PTCOR_MODES
+        m, g = model, model.gains
+        N, q, nx = m.N, m.q, m.nx
+        dim = q + N * q + nx + (nx if observer else 0)
+        v0, vt, xb = slice(0, q), slice(q, q + N * q), slice(q + N * q, q + N * q + nx)
+        xt = slice(q + N * q + nx, dim) if observer else None
+        self.s_vt, self.s_xb, self.s_xt = vt, xb, xt
+        row = slice(None)
 
-def rhs_baseline(state: ClosedLoopState, t: float, model: ClosedLoopModel, kind: str,
-                 constants: BaselineConstants | None = None) -> ClosedLoopState:
-    """Asymptotic or fixed-time comparison controller, written per agent.
+        BK = m.B_blk @ m.K_blk
+        BKbar = m.B_blk @ m.Kbar_blk
+        M0 = [(v0, v0, m.exo.S0), (vt, vt, m.S0_blk),
+              (xb, xb, m.A_blk + BKbar), (xb, vt, m.B_blk @ m.Ktil_blk)]
+        M1 = [(vt, vt, -g.psi * m.Hq), (xb, xb, BK), (xb, vt, -BK @ m.X_blk)]
+        U0 = [(row, xb, m.Kbar_blk), (row, vt, m.Ktil_blk)]
+        U1 = [(row, xb, m.K_blk), (row, vt, -m.K_blk @ m.X_blk)]
+        track = [(row, xb, np.eye(nx)), (row, vt, -m.X_blk)]
+        if observer:
+            M0 += [(xt, xt, m.A_blk - m.L_blk @ m.Cm_blk),
+                   (xt, vt, m.E_blk - m.L_blk @ m.Fm_blk), (xb, xt, BKbar)]
+            M1 += [(xt, xt, -(m.Ltil_blk @ m.Cm_blk)),
+                   (xt, vt, -m.Ltil_blk @ m.Fm_blk), (xb, xt, BK)]
+            U0.append((row, xt, m.Kbar_blk))
+            U1.append((row, xt, m.K_blk))
+            track.append((row, xt, np.eye(nx)))
+        if mode == "baseline_asymptotic":
+            M0.append((vt, vt, m.S0_blk - g.psi * m.Hq))
+        elif mode == "baseline_fixed_time":
+            M0.append((vt, vt, m.S0_blk - constants.c1 * m.Hq))
+        self.M0 = _place((dim, dim), M0)
+        self.M1 = _place((dim, dim), M1) if self.guarded else None
 
-    The fixed-time law replaces the mu-weighted corrections with sign and
-    signed-power terms on the same error quantities; its relay terms are
-    integrated as-is, without chattering mitigation.
-    """
-    if kind not in BASELINE_KINDS:
-        raise ValueError(f"kind must be one of {BASELINE_KINDS}, got {kind!r}")
-    if model.L_blk is None:
-        raise ValueError("baselines use the local observer; synth L/Ltil first")
-    c = constants or BaselineConstants()
-    v0, v, x, xhat = model.split_state(state)
-    g = model.gains
-    dv0 = model.exo.S0 @ v0
-    chi = model.consensus_terms(v0, v)
-    dv = (model.exo.S0 @ v.T).T
-    if kind == "asymptotic":
-        dv = dv + g.psi * chi
-    else:
-        dv = dv + c.c1 * chi + c.c2 * np.sign(chi) + c.c3 * sig(chi, c.c4)
-    dx, dxh = [], []
-    for i, agent in enumerate(model.agents):
-        if kind == "asymptotic":
-            u_i = g.Kbar[i] @ xhat[i] + g.Ktil[i] @ v[i]
-        else:
-            track = xhat[i] - model.regs[i].X @ v[i]
-            u_i = (g.Kbar[i] @ xhat[i] + g.Ktil[i] @ v[i]
-                   + g.K[i] @ np.sign(track) + g.K[i] @ sig(track, c.c4))
-        y_i = agent.Cm @ x[i] + agent.Dm @ u_i + agent.Fm @ v0
-        innovation = y_i - agent.Cm @ xhat[i] - agent.Dm @ u_i - agent.Fm @ v[i]
-        obs = agent.A @ xhat[i] + agent.B @ u_i + agent.E @ v[i] + g.L[i] @ innovation
-        if kind == "fixed_time":
-            obs = obs + g.Ltil[i] @ np.sign(innovation) + g.Ltil[i] @ sig(innovation, c.c4)
-        dxh.append(obs)
-        dx.append(agent.A @ x[i] + agent.B @ u_i + agent.E @ v0)
-    _check_finite([dv0, dv] + dx + dxh, t)
-    return ClosedLoopState(v0=dv0, v=dv, x=dx, xhat=dxh)
+        mt, pm = len(m.K_blk), len(m.Cm_blk)
+        self.U0 = _place((mt, dim), U0)
+        self.U1 = _place((mt, dim), U1) if self.guarded else None
+        self.E0 = _place((len(m.C_blk), dim), [(row, xb, m.C_blk)]) + m.D_blk @ self.U0
+        self.E1 = None if self.U1 is None else m.D_blk @ self.U1
+        self.chi = _place((N * q, dim), [(row, vt, -m.Hq)])
+        self.track = _place((nx, dim), track)
+        self.innov = _place((pm, dim), [(row, xt, -m.Cm_blk), (row, vt, -m.Fm_blk)]) \
+            if observer else None
 
-
-# -- fast integration paths --------------------------------------------------------
-
-
-class _PtcorSystem:
-    """Error-coordinate LTV form y' = (M0 + mu M1) y with output maps."""
-
-    def __init__(self, model: ClosedLoopModel, output_fb: bool):
-        self.model = model
-        self.output_fb = output_fb
-        N, q, nx = model.N, model.q, model.nx
-        dim = q + N * q + nx + (nx if output_fb else 0)
-        self.dim = dim
-        self.s_v0 = slice(0, q)
-        self.s_vt = slice(q, q + N * q)
-        self.s_xb = slice(q + N * q, q + N * q + nx)
-        self.s_xt = slice(q + N * q + nx, dim) if output_fb else None
-
-        g = model.gains
-        BK = model.B_blk @ model.K_blk
-        BKbar = model.B_blk @ model.Kbar_blk
-        BKtil = model.B_blk @ model.Ktil_blk
-        Ac = model.A_blk + BKbar
-        DK = model.D_blk @ model.K_blk
-        Cc = model.C_blk + model.D_blk @ model.Kbar_blk
-
-        M0 = np.zeros((dim, dim))
-        M1 = np.zeros((dim, dim))
-        M0[self.s_v0, self.s_v0] = model.exo.S0
-        M0[self.s_vt, self.s_vt] = model.S0_blk
-        M1[self.s_vt, self.s_vt] = -g.psi * model.Hq
-        M0[self.s_xb, self.s_xb] = Ac
-        M0[self.s_xb, self.s_vt] = BKtil
-        M1[self.s_xb, self.s_xb] = BK
-        M1[self.s_xb, self.s_vt] = -BK @ model.X_blk
-        if output_fb:
-            LCm = model.L_blk @ model.Cm_blk
-            LtCm = model.Ltil_blk @ model.Cm_blk
-            M0[self.s_xt, self.s_xt] = model.A_blk - LCm
-            M0[self.s_xt, self.s_vt] = model.E_blk - model.L_blk @ model.Fm_blk
-            M1[self.s_xt, self.s_xt] = -LtCm
-            M1[self.s_xt, self.s_vt] = -model.Ltil_blk @ model.Fm_blk
-            M0[self.s_xb, self.s_xt] = BKbar
-            M1[self.s_xb, self.s_xt] = BK
-        self.M0, self.M1 = M0, M1
-
-        # Output maps: value = row0 @ y + mu * row1 @ y.
-        P = sum(model.p_i)
-        self.e0 = np.zeros((P, dim))
-        self.e1 = np.zeros((P, dim))
-        self.e0[:, self.s_xb] = Cc
-        self.e0[:, self.s_vt] = model.D_blk @ model.Ktil_blk
-        self.e1[:, self.s_xb] = DK
-        self.e1[:, self.s_vt] = -DK @ model.X_blk
-        mt = sum(a.m for a in model.agents)
-        self.u0 = np.zeros((mt, dim))
-        self.u1 = np.zeros((mt, dim))
-        self.u0[:, self.s_xb] = model.Kbar_blk
-        self.u0[:, self.s_vt] = model.Ktil_blk
-        self.u1[:, self.s_xb] = model.K_blk
-        self.u1[:, self.s_vt] = -model.K_blk @ model.X_blk
-        if output_fb:
-            self.e0[:, self.s_xt] = model.D_blk @ model.Kbar_blk
-            self.e1[:, self.s_xt] = DK
-            self.u0[:, self.s_xt] = model.Kbar_blk
-            self.u1[:, self.s_xt] = model.K_blk
-        self.phi1_map = np.zeros((N * q, dim))
-        self.phi1_map[:, self.s_vt] = model.Hq
-        ex = np.zeros((nx, dim))
-        ex[:, self.s_xb] = np.eye(nx)
-        ex[:, self.s_vt] = -model.X_blk
-        if output_fb:
-            exh = ex.copy()
-            exh[:, self.s_xt] = np.eye(nx)
-            self.phi4_map = exh
-            self.phi3_map = np.zeros((sum(a.pm for a in model.agents), dim))
-            self.phi3_map[:, self.s_xt] = -model.Cm_blk
-            self.phi3_map[:, self.s_vt] = -model.Fm_blk
-            self.phi2_map = None
-        else:
-            self.phi2_map = ex
-            self.phi3_map = self.phi4_map = None
+        self.W = self.G = None
+        if mode == "baseline_fixed_time":
+            c, nc = constants, N * q
+            self.W = np.vstack([self.chi, self.track, self.innov])
+            self.G = _place((dim, nc + nx + pm), [
+                (vt, slice(0, nc), np.eye(nc)), (xb, slice(nc, nc + nx), BK),
+                (xt, slice(nc + nx, None), m.Ltil_blk)])
+            self.a = np.r_[np.full(nc, c.c2), np.ones(nx + pm)]
+            self.b = np.r_[np.full(nc, c.c3), np.ones(nx + pm)]
+            self.c4 = c.c4
 
     def initial_state(self, v0_init, v_init, x_init, xhat_init) -> np.ndarray:
         m = self.model
-        y = np.zeros(self.dim)
         v0 = np.asarray(v0_init, dtype=float)
-        y[self.s_v0] = v0
         v = np.asarray(v_init, dtype=float).reshape(m.N, m.q)
-        y[self.s_vt] = (v - v0).reshape(-1)
         x = np.concatenate([np.asarray(xi, dtype=float) for xi in x_init])
-        y[self.s_xb] = x - m.X_stack @ v0
-        if self.output_fb:
-            xh = np.concatenate([np.asarray(h, dtype=float) for h in xhat_init])
-            y[self.s_xt] = xh - x
-        return y
+        parts = [v0, (v - v0).reshape(-1), x - m.X_stack @ v0]
+        if self.s_xt is not None:
+            parts.append(np.concatenate([np.asarray(h, dtype=float) for h in xhat_init]) - x)
+        return np.concatenate(parts)
 
     def rhs(self, t: float, y: np.ndarray) -> np.ndarray:
-        m_t = mu(self.model.schedule, t)
-        return self.M0 @ y + m_t * (self.M1 @ y)
+        if self.M1 is not None:
+            return self.M0 @ y + mu(self.schedule, t) * (self.M1 @ y)
+        if self.W is None:
+            return self.M0 @ y
+        z = self.W @ y
+        return self.M0 @ y + self.G @ (self.a * np.sign(z) + self.b * sig(z, self.c4))
 
-    def closed_loop_state(self, y: np.ndarray) -> ClosedLoopState:
-        m = self.model
-        v0 = y[self.s_v0].copy()
-        v = y[self.s_vt].reshape(m.N, m.q) + v0
-        x_flat = y[self.s_xb] + m.X_stack @ v0
-        xhat = None
-        if self.output_fb:
-            xhat = _split_by_dims(x_flat + y[self.s_xt], m.n_i)
-        return ClosedLoopState(v0=v0, v=v, x=_split_by_dims(x_flat, m.n_i), xhat=xhat)
+    def signals(self, t: np.ndarray, Y: np.ndarray) -> dict:
+        """Every recorded column of the samples `Y` (S x dim) taken at times `t`."""
+        mus = np.array([mu(self.schedule, ti) for ti in t])
 
-    def outputs(self, y: np.ndarray, m_t: float) -> dict:
-        e = (self.e0 @ y) + m_t * (self.e1 @ y)
-        ut = (self.u0 @ y) + m_t * (self.u1 @ y)
-        out = {
-            "e": e,
-            "e_norm": float(np.linalg.norm(e)),
-            "v_tilde_norm": float(np.linalg.norm(y[self.s_vt])),
-            "x_bar_norm": float(np.linalg.norm(y[self.s_xb])),
-            "x_tilde_norm": float(np.linalg.norm(y[self.s_xt])) if self.output_fb else None,
-            "u_tilde_norm": float(np.linalg.norm(ut)),
-            "phi1": m_t * float(np.linalg.norm(self.phi1_map @ y)),
-            "phi2": None, "phi3": None, "phi4": None,
-            "state": self.closed_loop_state(y),
-        }
-        if self.output_fb:
-            out["phi3"] = m_t * float(np.linalg.norm(self.phi3_map @ y))
-            out["phi4"] = m_t * float(np.linalg.norm(self.phi4_map @ y))
-        else:
-            out["phi2"] = m_t * float(np.linalg.norm(self.phi2_map @ y))
-        return out
+        def scheduled(M0, M1) -> np.ndarray:
+            out = Y @ M0.T
+            return out if M1 is None else out + mus[:, None] * (Y @ M1.T)
 
+        def norm(block) -> np.ndarray:
+            return np.linalg.norm(block, axis=1)
 
-class _BaselineSystem:
-    """Plant-coordinate stacked form of a baseline controller."""
-
-    def __init__(self, model: ClosedLoopModel, kind: str, constants: BaselineConstants):
-        if model.L_blk is None:
-            raise ValueError("baselines use the local observer; synth L/Ltil first")
-        self.model = model
-        self.kind = kind
-        self.c = constants
-        N, q, nx = model.N, model.q, model.nx
-        self.dim = q + N * q + 2 * nx
-        self.s_v0 = slice(0, q)
-        self.s_v = slice(q, q + N * q)
-        self.s_x = slice(q + N * q, q + N * q + nx)
-        self.s_xh = slice(q + N * q + nx, self.dim)
-        self.ones_v0 = lambda v0: np.tile(v0, N)
-
-    def initial_state(self, v0_init, v_init, x_init, xhat_init) -> np.ndarray:
-        y = np.zeros(self.dim)
-        y[self.s_v0] = np.asarray(v0_init, dtype=float)
-        y[self.s_v] = np.asarray(v_init, dtype=float).reshape(-1)
-        y[self.s_x] = np.concatenate([np.asarray(xi, dtype=float) for xi in x_init])
-        y[self.s_xh] = np.concatenate([np.asarray(h, dtype=float) for h in xhat_init])
-        return y
-
-    def control(self, y: np.ndarray) -> np.ndarray:
-        m = self.model
-        v, xh = y[self.s_v], y[self.s_xh]
-        u = m.Kbar_blk @ xh + m.Ktil_blk @ v
-        if self.kind == "fixed_time":
-            track = xh - m.X_blk @ v
-            u = u + m.K_blk @ np.sign(track) + m.K_blk @ sig(track, self.c.c4)
-        return u
-
-    def rhs(self, t: float, y: np.ndarray) -> np.ndarray:
-        m = self.model
-        v0 = y[self.s_v0]
-        v, x, xh = y[self.s_v], y[self.s_x], y[self.s_xh]
-        v0_rep = self.ones_v0(v0)
-        u = self.control(y)
-        chi = -m.Hq @ (v - v0_rep)
-        y_meas = m.Cm_blk @ x + m.Dm_blk @ u + m.Fm_stack @ v0
-        innovation = y_meas - m.Cm_blk @ xh - m.Dm_blk @ u - m.Fm_blk @ v
-        dy = np.empty_like(y)
-        dy[self.s_v0] = m.exo.S0 @ v0
-        if self.kind == "asymptotic":
-            dy[self.s_v] = m.S0_blk @ v + m.gains.psi * chi
-            dxh = m.A_blk @ xh + m.B_blk @ u + m.E_blk @ v + m.L_blk @ innovation
-        else:
-            dy[self.s_v] = (m.S0_blk @ v + self.c.c1 * chi
-                            + self.c.c2 * np.sign(chi) + self.c.c3 * sig(chi, self.c.c4))
-            dxh = (m.A_blk @ xh + m.B_blk @ u + m.E_blk @ v + m.L_blk @ innovation
-                   + m.Ltil_blk @ np.sign(innovation) + m.Ltil_blk @ sig(innovation, self.c.c4))
-        dy[self.s_x] = m.A_blk @ x + m.B_blk @ u + m.E_stack @ v0
-        dy[self.s_xh] = dxh
-        return dy
-
-    def outputs(self, y: np.ndarray, m_t: float) -> dict:
-        m = self.model
-        v0 = y[self.s_v0]
-        v, x, xh = y[self.s_v], y[self.s_x], y[self.s_xh]
-        u = self.control(y)
-        e = m.C_blk @ x + m.D_blk @ u + m.F_stack @ v0
-        vt = v - self.ones_v0(v0)
-        xb = x - m.X_stack @ v0
-        ut = u - m.U_stack @ v0
-        return {
-            "e": e, "e_norm": float(np.linalg.norm(e)),
-            "v_tilde_norm": float(np.linalg.norm(vt)),
-            "x_bar_norm": float(np.linalg.norm(xb)),
-            "x_tilde_norm": float(np.linalg.norm(xh - x)),
-            "u_tilde_norm": float(np.linalg.norm(ut)),
-            "phi1": None, "phi2": None, "phi3": None, "phi4": None,
-            "state": self.closed_loop_state(y),
-        }
-
-    def closed_loop_state(self, y: np.ndarray) -> ClosedLoopState:
-        m = self.model
-        return ClosedLoopState(
-            v0=y[self.s_v0].copy(),
-            v=y[self.s_v].reshape(m.N, m.q).copy(),
-            x=_split_by_dims(y[self.s_x], m.n_i),
-            xhat=_split_by_dims(y[self.s_xh], m.n_i),
+        e = scheduled(self.E0, self.E1)
+        ut = scheduled(self.U0, self.U1)
+        if self.W is not None:
+            track = Y @ self.track.T
+            relay = np.sign(track) + sig(track, self.c4)
+            ut = ut + relay @ self.model.K_blk.T
+            e = e + relay @ (self.model.D_blk @ self.model.K_blk).T
+        phi = dict.fromkeys((1, 2, 3, 4))
+        if self.guarded:
+            phi[1] = mus * norm(Y @ self.chi.T)
+            if self.s_xt is None:
+                phi[2] = mus * norm(Y @ self.track.T)
+            else:
+                phi[3] = mus * norm(Y @ self.innov.T)
+                phi[4] = mus * norm(Y @ self.track.T)
+        return dict(
+            mu=mus, e=e, e_norm=norm(e), v_tilde_norm=norm(Y[:, self.s_vt]),
+            x_bar_norm=norm(Y[:, self.s_xb]),
+            x_tilde_norm=None if self.s_xt is None else norm(Y[:, self.s_xt]),
+            u_tilde_norm=norm(ut), phi=phi,
         )
 
 
-class _Recorder:
-    def __init__(self):
-        self.rows = []
-
-    def add(self, t: float, m_t: float, out: dict) -> None:
-        if self.rows and abs(self.rows[-1][0] - t) < 1e-15:
-            return
-        self.rows.append((t, m_t, out))
-
-
-def _drive(system, y0: np.ndarray, schedule: MuSchedule, cfg: SimConfig,
-           mu_guarded: bool) -> tuple[_Recorder, bool, float | None, str]:
-    """Shared RK4 driver.  Returns (recorder, escaped, escape_time, diagnostic)."""
-    rec = _Recorder()
+def _drive(op: _Operator, y0: np.ndarray, schedule: MuSchedule, cfg: SimConfig):
+    """Shared RK4 driver.  Returns (times, samples, escaped, escape_time, diagnostic)."""
+    ts, ys = [], []
     y = y0.copy()
     t = schedule.t0
     horizon = schedule.horizon
     clamp_t = horizon - schedule.eps
-    rhs = system.rhs
+    rhs = op.rhs
 
     def record(t_, y_):
-        m_t = mu(schedule, t_)
-        rec.add(t_, m_t, system.outputs(y_, m_t))
-
-    def bad(y_) -> bool:
-        return (not np.all(np.isfinite(y_))) or float(np.abs(y_).max()) > ESCAPE_NORM
+        if not ts or abs(ts[-1] - t_) >= 1e-15:
+            ts.append(t_)
+            ys.append(y_)
 
     record(t, y)
     steps = 0
     while t < cfg.duration - 1e-12:
-        if mu_guarded and t < clamp_t:
-            m_t = mu(schedule, t)
-            h = max(cfg.min_dt, min(cfg.dt, cfg.guard / m_t))
+        if op.guarded and t < clamp_t:
+            h = max(cfg.min_dt, min(cfg.dt, cfg.guard / mu(schedule, t)))
             boundary = min(clamp_t, cfg.duration)
         else:
             h = cfg.dt
@@ -719,9 +473,11 @@ def _drive(system, y0: np.ndarray, schedule: MuSchedule, cfg: SimConfig,
         y = y + (h / 6.0) * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
         t = t + h
         steps += 1
-        if bad(y):
-            return rec, True, t, f"finite-escape detected at t = {t:.9g} (state norm > {ESCAPE_NORM:g})"
-        at_clamp = mu_guarded and abs(t - clamp_t) < 1e-15 and clamp_t < cfg.duration
+        # NaN fails the comparison, so one pass catches non-finite and escaped states
+        if not float(np.abs(y).max()) <= ESCAPE_NORM:
+            diag = f"finite-escape detected at t = {t:.9g} (state norm > {ESCAPE_NORM:g})"
+            return np.array(ts), np.vstack(ys), True, t, diag
+        at_clamp = op.guarded and abs(t - clamp_t) < 1e-15 and clamp_t < cfg.duration
         at_boundary = abs(t - boundary) < 1e-15
         if steps % cfg.stride == 0 or at_clamp or at_boundary:
             record(t, y)
@@ -732,7 +488,7 @@ def _drive(system, y0: np.ndarray, schedule: MuSchedule, cfg: SimConfig,
             if t < cfg.duration - 1e-15:
                 record(t, y)
     record(t, y)
-    return rec, False, None, ""
+    return np.array(ts), np.vstack(ys), False, None, ""
 
 
 def integrate(scenario, config: SimConfig | None = None,
@@ -742,7 +498,8 @@ def integrate(scenario, config: SimConfig | None = None,
     `scenario` provides the network, agents, exosystem, gain declaration,
     mu schedule, simulation config, and initial conditions.  A finite
     escape does not raise: the truncated trajectory is returned with the
-    escape flagged, since divergence is itself a meaningful outcome.
+    escape flagged, since divergence is itself a meaningful outcome.  A
+    feedforward gain violating Ktil = U - Kbar X raises `SynthesisError`.
     """
     cfg = config or scenario.sim_config
     sched = scenario.mu_schedule
@@ -753,41 +510,10 @@ def integrate(scenario, config: SimConfig | None = None,
     if model is None:
         model = compile_model(scenario)
 
-    if cfg.mode in PTCOR_MODES:
-        system = _PtcorSystem(model, output_fb=(cfg.mode == "output_fb"))
-        mu_guarded = True
-    else:
-        kind = "asymptotic" if cfg.mode == "baseline_asymptotic" else "fixed_time"
-        system = _BaselineSystem(model, kind, cfg.baseline)
-        mu_guarded = False
-    y0 = system.initial_state(scenario.exo.v0_init, scenario.v_init,
-                              scenario.x_init, scenario.xhat_init)
-    rec, escaped, t_esc, diag = _drive(system, y0, sched, cfg, mu_guarded)
-
-    ts = np.array([r[0] for r in rec.rows])
-    mus = np.array([r[1] for r in rec.rows])
-    outs = [r[2] for r in rec.rows]
-
-    def col(key) -> np.ndarray | None:
-        vals = [o[key] for o in outs]
-        if any(v is None for v in vals):
-            return None
-        return np.array(vals)
-
-    return Trajectory(
-        mode=cfg.mode,
-        t=ts,
-        mu=mus,
-        e=np.vstack([o["e"] for o in outs]),
-        e_norm=col("e_norm"),
-        v_tilde_norm=col("v_tilde_norm"),
-        x_bar_norm=col("x_bar_norm"),
-        x_tilde_norm=col("x_tilde_norm"),
-        u_tilde_norm=col("u_tilde_norm"),
-        phi={k: col(f"phi{k}") for k in (1, 2, 3, 4)},
-        output_dims=list(model.p_i),
-        states=[o["state"] for o in outs],
-        finite_escape=escaped,
-        escape_time=t_esc,
-        diagnostic=diag,
-    )
+    op = _Operator(model, cfg.mode, cfg.baseline)
+    y0 = op.initial_state(scenario.exo.v0_init, scenario.v_init,
+                          scenario.x_init, scenario.xhat_init)
+    ts, Y, escaped, t_esc, diag = _drive(op, y0, sched, cfg)
+    return Trajectory(mode=cfg.mode, t=ts, output_dims=list(model.p_i), y=Y,
+                      finite_escape=escaped, escape_time=t_esc, diagnostic=diag,
+                      **op.signals(ts, Y))

@@ -241,6 +241,12 @@ def _spectral_norm(M) -> float:
     return float(np.linalg.norm(np.asarray(M, dtype=float), 2))
 
 
+def ktil_mismatch(gains: GainSet, regs: list) -> list:
+    """Per-agent feedforward inconsistency ||Ktil_i - (U_i - Kbar_i X_i)||_inf."""
+    return [float(np.abs(K_til - (reg.U - Kbar @ reg.X)).max())
+            for K_til, Kbar, reg in zip(gains.Ktil, gains.Kbar, regs)]
+
+
 def verify_gains(
     mode: str,
     gains: GainSet,
@@ -315,10 +321,7 @@ def verify_gains(
     ))
 
     # Feedforward consistency (hard error when violated).
-    mismatches = []
-    for K_til, Kbar, reg in zip(gains.Ktil, gains.Kbar, regs):
-        expected = reg.U - Kbar @ reg.X
-        mismatches.append(float(np.abs(K_til - expected).max()))
+    mismatches = ktil_mismatch(gains, regs)
     worst_mismatch = max(mismatches)
     checks.append(ConditionCheck(
         name="feedforward: Ktil = U - Kbar*X",

@@ -1,3 +1,5 @@
+from dataclasses import replace
+
 import numpy as np
 import pytest
 import yaml
@@ -11,6 +13,7 @@ from ptcor.scenario import (
     scenario_to_dict,
     write_scenario,
 )
+from ptcor.sim import compile_model
 
 
 @pytest.fixture()
@@ -175,6 +178,24 @@ class TestCli:
         rc = main(["check", str(bad)])
         assert rc == 2
         assert "schema:" in capsys.readouterr().err
+
+    def test_inconsistent_feedforward(self, tmp_path, capsys):
+        scenario = load_scenario("example1_rlc")
+        gains = compile_model(scenario).gains
+        scenario.gain_spec = replace(scenario.gain_spec, Ktil=[k + 0.01 for k in gains.Ktil])
+        path = tmp_path / "bad_ktil.yaml"
+        write_scenario(scenario, path)
+        # check only reports the violated condition ...
+        rc = main(["check", str(path)])
+        captured = capsys.readouterr()
+        assert rc == 4
+        assert "feedforward: Ktil = U - Kbar*X" in captured.out
+        assert "synthesis:" not in captured.err
+        # ... while integrating the loop is refused
+        rc = main(["certify", str(path), "--dt", "1e-3", "--out", str(tmp_path)])
+        err = capsys.readouterr().err
+        assert rc == 4
+        assert err.startswith("synthesis:") and "Ktil" in err
 
     def test_unknown_baseline_rejected(self, tmp_path, capsys):
         rc = main(["compare", "example1_rlc", "--baselines", "nope", "--out", str(tmp_path)])

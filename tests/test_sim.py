@@ -1,3 +1,5 @@
+from dataclasses import replace
+
 import numpy as np
 import pytest
 
@@ -5,21 +7,28 @@ from ptcor.graph import network_from_edges
 from ptcor.plant import AgentModel, Exosystem
 from ptcor.scenario import Scenario, load_scenario
 from ptcor.sim import (
-    ClosedLoopState,
+    CSV_FIXED_COLUMNS,
+    MODES,
+    BaselineConstants,
     MuSchedule,
     SimConfig,
     Trajectory,
-    _PtcorSystem,
+    _Operator,
     compile_model,
     integrate,
     kappa,
     mu,
+    sig,
+)
+from ptcor.synthesis import GainSpec, SynthesisError
+from tests.oracle import (
+    ClosedLoopState,
+    error_coordinates,
+    plant_state,
     rhs_baseline,
     rhs_output_fb,
     rhs_state_fb,
-    sig,
 )
-from ptcor.synthesis import GainSpec
 
 
 class TestMuSchedule:
@@ -157,7 +166,7 @@ class TestRhsOutputFeedback:
         with pytest.warns(UserWarning, match="neutrally stable"):
             scenario = load_scenario("example2_ccvsi")
         model = compile_model(scenario)
-        assert np.abs(model.Dm_blk).max() == 0.0
+        assert max(np.abs(a.Dm).max() for a in model.agents) == 0.0
         state = ClosedLoopState(v0=scenario.exo.v0_init, v=scenario.v_init,
                                 x=scenario.x_init, xhat=scenario.xhat_init)
         d = rhs_output_fb(state, 0.0, model)
@@ -167,7 +176,7 @@ class TestRhsOutputFeedback:
         # dual route: the literal plant-coordinate equations must match the
         # error-coordinate LTV form used by the integrator
         scenario, model = rlc_model
-        system = _PtcorSystem(model, output_fb=True)
+        system = _Operator(model, "output_fb", BaselineConstants())
         rng = np.random.RandomState(3)
         v0 = rng.uniform(-2, 2, size=2)
         v = rng.uniform(-2, 2, size=(6, 2))
@@ -208,6 +217,80 @@ class TestRhsBaseline:
             rhs_baseline(state, 0.0, model, "sliding_mode")
 
 
+def random_plant_state(observer: bool, seed: int) -> ClosedLoopState:
+    rng = np.random.RandomState(seed)
+    return ClosedLoopState(
+        v0=rng.uniform(-2, 2, size=2), v=rng.uniform(-2, 2, size=(6, 2)),
+        x=[rng.uniform(-3, 3, size=2) for _ in range(6)],
+        xhat=[rng.uniform(-3, 3, size=2) for _ in range(6)] if observer else None,
+    )
+
+
+def oracle_rhs(state, t, model, mode):
+    if mode == "state_fb":
+        return rhs_state_fb(state, t, model)
+    if mode == "output_fb":
+        return rhs_output_fb(state, t, model)
+    return rhs_baseline(state, t, model, mode.removeprefix("baseline_"))
+
+
+class TestOperatorMatchesOracle:
+    # mu(t) = 1/(2 - t): 0.59 early, 3.3 in the blow-up phase, 1e5 near the clamp
+    @pytest.mark.parametrize("t", [0.3, 1.7, 2.0 - 1e-5])
+    @pytest.mark.parametrize("mode", MODES)
+    def test_rhs_matches_plant_coordinates(self, rlc_model, mode, t):
+        scenario, model = rlc_model
+        op = _Operator(model, mode, BaselineConstants())
+        state = random_plant_state(mode != "state_fb", seed=11)
+        y = error_coordinates(model, state)
+        if op.W is not None:
+            # every relay argument is far from its switching surface
+            assert np.abs(op.W @ y).min() > 1e-3
+        expected = error_coordinates(model, oracle_rhs(state, t, model, mode))
+        # plant coordinates difference O(mu) terms, so allow rounding relative to the largest
+        assert np.abs(op.rhs(t, y) - expected).max() <= 1e-10 * np.abs(expected).max()
+
+    def test_fixed_time_outputs_match_plant_coordinates(self, rlc_model):
+        # the relay enters e and u_tilde through u; recompute both per agent
+        scenario, model = rlc_model
+        cfg = SimConfig(mode="baseline_fixed_time", dt=1e-3, duration=2.1, stride=50)
+        traj = integrate(scenario, cfg, model=model)
+        k = int(np.argmin(np.abs(traj.t - 0.5)))
+        st = plant_state(model, traj.y[k], observer=True)
+        g, c = model.gains, cfg.baseline
+        e, ut = [], []
+        for i, agent in enumerate(model.agents):
+            track = st.xhat[i] - model.regs[i].X @ st.v[i]
+            assert np.abs(track).min() > 1e-6
+            u = (g.Kbar[i] @ st.xhat[i] + g.Ktil[i] @ st.v[i]
+                 + g.K[i] @ np.sign(track) + g.K[i] @ sig(track, c.c4))
+            ut.append(u - model.regs[i].U @ st.v0)
+            e.append(agent.C @ st.x[i] + agent.D @ u + agent.F @ st.v0)
+        e = np.concatenate(e)
+        assert np.abs(traj.e[k] - e).max() <= 1e-9 * np.abs(e).max()
+        assert np.linalg.norm(np.concatenate(ut)) == pytest.approx(traj.u_tilde_norm[k], rel=1e-9)
+
+
+class TestFeedforwardConsistency:
+    def inconsistent(self, mode="state_fb"):
+        s = scalar_scenario(mode=mode)
+        # the regulator gives U - Kbar X = 1
+        s.gain_spec = replace(s.gain_spec, Ktil=np.array([[0.5]]))
+        return s
+
+    def test_plant_loop_leaves_the_manifold(self):
+        model = compile_model(self.inconsistent())
+        X = model.regs[0].X
+        state = ClosedLoopState(v0=np.array([1.0]), v=np.array([[1.0]]), x=[X @ np.array([1.0])])
+        d = rhs_state_fb(state, 0.0, model)
+        assert (d.x[0] - X @ d.v0)[0] == pytest.approx(-0.5)
+
+    @pytest.mark.parametrize("mode", MODES)
+    def test_integrate_raises(self, mode):
+        with pytest.raises(SynthesisError, match="Ktil"):
+            integrate(self.inconsistent(mode))
+
+
 class TestIntegrate:
     def test_zero_initial_errors_stay_zero(self, rlc_model):
         scenario, model = rlc_model
@@ -241,15 +324,15 @@ class TestIntegrate:
         scenario, model = rlc_model
         cfg = SimConfig(mode="output_fb", dt=1e-3, duration=2.3, stride=20)
         traj = integrate(scenario, cfg, model=model)
-        assert traj.states is not None and len(traj.states) == len(traj.t)
-        first = traj.states[0]
+        assert traj.y is not None and len(traj.y) == len(traj.t)
+        first = plant_state(model, traj.y[0], observer=True)
         for i in range(6):
             assert np.allclose(first.x[i], scenario.x_init[i])
             assert np.allclose(first.xhat[i], scenario.xhat_init[i])
         # recompute the observer disagreement from plant coordinates on an
         # early sample, where it is far above rounding noise
         k = int(np.argmin(np.abs(traj.t - 0.5)))
-        st = traj.states[k]
+        st = plant_state(model, traj.y[k], observer=True)
         vt = (st.v - st.v0).reshape(-1)
         assert np.linalg.norm(vt) == pytest.approx(traj.v_tilde_norm[k], rel=1e-9)
 
@@ -299,6 +382,12 @@ class TestTrajectoryCsv:
         assert back.x_tilde_norm is not None
         assert back.phi[2] is None
         assert back.output_dims == traj.output_dims
+
+    def test_header_only_file_rejected(self, tmp_path):
+        path = tmp_path / "empty_run.csv"
+        path.write_text(", ".join(CSV_FIXED_COLUMNS + ["e_1_1"]) + "\n")
+        with pytest.raises(ValueError, match="empty_run.csv"):
+            Trajectory.from_csv(path)
 
     def test_header_format(self, tmp_path, rlc_model):
         scenario, model = rlc_model
