@@ -22,14 +22,6 @@ from .graph import (
     observer_rate,
     partition_laplacian,
 )
-from .numerics import (
-    ResonantPairError,
-    SingularSystemError,
-    crank,
-    eig,
-    solve_block_linear,
-    solve_lyapunov,
-)
 from .plant import (
     AgentModel,
     Exosystem,

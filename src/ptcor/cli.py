@@ -31,12 +31,17 @@ EXIT_NUMERIC = 4
 def _apply_overrides(scenario: Scenario, args) -> Scenario:
     sched = scenario.mu_schedule
     if getattr(args, "T", None) is not None or getattr(args, "mu_cap", None) is not None:
-        sched = MuSchedule(
-            T=args.T if args.T is not None else sched.T,
-            t0=sched.t0,
-            a=None if args.T is not None else sched.a,
-            mu_cap=args.mu_cap if args.mu_cap is not None else sched.mu_cap,
-        )
+        try:
+            sched = MuSchedule(
+                T=args.T if args.T is not None else sched.T,
+                t0=sched.t0,
+                a=None if args.T is not None else sched.a,
+                mu_cap=args.mu_cap if args.mu_cap is not None else sched.mu_cap,
+            )
+        except ValueError as exc:
+            flags = [f"--{name} {value:g}" for name, value in
+                     (("T", args.T), ("mu-cap", args.mu_cap)) if value is not None]
+            raise ScenarioError([f"{' '.join(flags)}: {exc}"]) from exc
         scenario.mu_schedule = sched
     cfg = scenario.sim_config
     changes = {}
@@ -46,7 +51,10 @@ def _apply_overrides(scenario: Scenario, args) -> Scenario:
         changes["dt"] = args.dt
         changes["min_dt"] = min(cfg.min_dt, args.dt)
     if changes:
-        scenario.sim_config = replace(cfg, **changes)
+        try:
+            scenario.sim_config = replace(cfg, **changes)
+        except ValueError as exc:
+            raise ScenarioError([f"--dt {args.dt:g}: {exc}"]) from exc
     return scenario
 
 

@@ -11,7 +11,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .numerics import ResonantPairError, solve_lyapunov
+from .numerics import lyapunov_certificate
 
 
 @dataclass(eq=False)
@@ -79,16 +79,8 @@ def partition_laplacian(net: Network) -> LaplacianParts:
     H[i, i] collects all in-weights of follower i (leader edge included);
     H[i, j] = -a_ij for distinct followers; Delta = diag(a_10, ..., a_N0).
     """
-    A = net.adjacency
-    N = net.n_followers
-    H = np.zeros((N, N))
-    for i in range(1, N + 1):
-        H[i - 1, i - 1] = A[i, :].sum()
-        for j in range(1, N + 1):
-            if j != i:
-                H[i - 1, j - 1] = -A[i, j]
-    Delta = np.diag(A[1:, 0].copy())
-    return LaplacianParts(H=H, Delta=Delta)
+    return LaplacianParts(H=full_laplacian(net)[1:, 1:].copy(),
+                          Delta=np.diag(net.adjacency[1:, 0]))
 
 
 def full_laplacian(net: Network) -> np.ndarray:
@@ -99,17 +91,13 @@ def full_laplacian(net: Network) -> np.ndarray:
 
 def has_leader_spanning_tree(net: Network) -> bool:
     """True iff every follower is reachable from node 0 along positive-weight edges."""
-    A = net.adjacency
-    n = A.shape[0]
-    seen = np.zeros(n, dtype=bool)
+    edge = net.adjacency > 0          # edge[i, j]: j -> i
+    seen = np.zeros(edge.shape[0], dtype=bool)
     seen[0] = True
-    stack = [0]
-    while stack:
-        j = stack.pop()
-        for i in range(n):
-            if not seen[i] and A[i, j] > 0:
-                seen[i] = True
-                stack.append(i)
+    frontier = seen.copy()
+    while frontier.any():
+        frontier = edge[:, frontier].any(axis=1) & ~seen
+        seen |= frontier
     return bool(seen[1:].all())
 
 
@@ -121,20 +109,11 @@ def observer_rate(parts: LaplacianParts) -> ObserverRate:
     rate is invariant to scaling (P_H, Q_H) jointly, so nothing is lost.
     """
     H = np.asarray(parts.H, dtype=float)
-    N = H.shape[0]
-    Q = np.eye(N)
     try:
-        P = solve_lyapunov(H, Q)
-    except ResonantPairError as exc:
+        P, rho = lyapunov_certificate(-H)
+    except ValueError as exc:
         raise ValueError(
-            "observer rate undefined: -H is not Hurwitz "
+            f"observer rate undefined for -H: {exc} "
             "(does the graph have a leader-rooted spanning tree?)"
         ) from exc
-    eigs = np.linalg.eigvalsh(P)
-    if eigs.min() <= 0:
-        raise ValueError(
-            "observer rate undefined: Lyapunov certificate is not positive definite "
-            "(does the graph have a leader-rooted spanning tree?)"
-        )
-    rho = 1.0 / (2.0 * float(eigs.max()))
-    return ObserverRate(P_H=P, Q_H=Q, rho_H=rho)
+    return ObserverRate(P_H=P, Q_H=np.eye(H.shape[0]), rho_H=rho)

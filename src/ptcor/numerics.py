@@ -1,224 +1,48 @@
-"""Dense linear-algebra kernels for small control-design matrices.
+"""The Lyapunov certificate behind every certified rate.
 
-Everything here operates on plain numpy arrays and is sized for the single-
-to low-double-digit dimensions that arise in multi-agent regulator design:
-eigenvalue extraction, numerical rank of complex matrices, Lyapunov-type
-equations via explicit Kronecker vectorization, and square linear solves
-with hard residual checks.  No sparse or large-scale paths are provided on
-purpose; at these sizes a dense LAPACK-backed solve is both the fastest and
-the most transparent option.
+The observer rate rho_H (M = -H) and the local loop rates theta_i
+(M = B_i K_i) and vartheta_i (M = -Ltil_i Cm_i) all come from one
+equation with the fixed choice Q = I:
+
+    P M + M^T P = -I,      rate = 1 / (2 lambda_max(P)).
+
+It is solved by Bartels-Stewart (`scipy.linalg.solve_continuous_lyapunov`)
+and the answer is checked independently of the solver: the residual must
+be at most 1e-10 and P must be positive definite.
 """
 
 from __future__ import annotations
 
-import warnings
-
 import numpy as np
 import scipy.linalg
 
-MAX_EIG_DIM = 32
-
 LYAP_RESIDUAL_RTOL = 1e-10
-LINSOLVE_RESIDUAL_RTOL = 1e-10
 
 
-class ResonantPairError(ValueError):
-    """A Lyapunov-type equation is singular because two spectrum points sum to zero."""
+def lyapunov_certificate(M) -> tuple[np.ndarray, float]:
+    """Solve ``P M + M^T P = -I`` for Hurwitz M; return (P, 1 / (2 lambda_max(P))).
 
-
-class SingularSystemError(ValueError):
-    """A linear system is numerically singular."""
-
-
-def _as_square(M, name: str = "matrix") -> np.ndarray:
-    A = np.asarray(M, dtype=float)
-    if A.ndim != 2 or A.shape[0] != A.shape[1]:
-        raise ValueError(f"{name} must be square, got shape {A.shape}")
-    if not np.isfinite(A).all():
-        raise ValueError(f"{name} contains non-finite entries")
-    return A
-
-
-def eig(M) -> np.ndarray:
-    """Eigenvalues of a small real square matrix.
-
-    Parameters
-    ----------
-    M : (n, n) array_like
-        Real square matrix, n <= 32.
-
-    Returns
-    -------
-    (n,) complex ndarray
-        Unordered eigenvalues with multiplicity.  For real input the
-        returned multiset is closed under complex conjugation.
+    The rate never exceeds the spectral abscissa magnitude of M.
 
     Raises
     ------
     ValueError
-        Non-square or oversized input.
-    RuntimeError
-        The underlying QR iteration failed to converge; the offending
-        matrix is included in the message.
+        M is not Hurwitz, or the computed P fails the residual or
+        positive-definiteness check.  A non-square or non-finite M raises
+        `np.linalg.LinAlgError`, which is a ValueError too.
     """
-    A = _as_square(M)
-    n = A.shape[0]
-    if n > MAX_EIG_DIM:
-        raise ValueError(f"eig is restricted to dimension <= {MAX_EIG_DIM}, got {n}")
-    try:
-        return np.linalg.eigvals(A)
-    except np.linalg.LinAlgError as exc:  # pragma: no cover - LAPACK failure is exotic at n<=32
-        raise RuntimeError(f"eigenvalue iteration did not converge for matrix:\n{A!r}") from exc
-
-
-def crank(M, tol: float = 1e-9) -> int:
-    """Numerical rank of a complex matrix by Gaussian elimination.
-
-    Partial pivoting by modulus; a pivot is accepted only if it exceeds
-    ``tol * max_i ||row_i||_2`` of the input matrix.  At the matrix sizes
-    used here this is as reliable as an SVD cutoff and much cheaper.
-
-    Parameters
-    ----------
-    M : (r, c) array_like
-        Real or complex matrix.  An empty matrix has rank 0.
-    tol : float
-        Relative pivot threshold, must be positive.
-    """
-    if tol <= 0:
-        raise ValueError(f"tol must be positive, got {tol}")
-    A = np.array(M, dtype=complex, copy=True)
-    if A.ndim != 2:
-        raise ValueError(f"expected a 2-d matrix, got ndim={A.ndim}")
-    if A.size == 0:
-        return 0
-    threshold = tol * float(np.linalg.norm(A, axis=1).max())
-    if threshold == 0.0:
-        return 0
-    rows, cols = A.shape
-    rank = 0
-    r = 0
-    for c in range(cols):
-        if r >= rows:
-            break
-        p = int(np.argmax(np.abs(A[r:, c]))) + r
-        if abs(A[p, c]) <= threshold:
-            continue
-        if p != r:
-            A[[r, p]] = A[[p, r]]
-        factors = A[r + 1:, c] / A[r, c]
-        A[r + 1:, c:] -= np.outer(factors, A[r, c:])
-        r += 1
-        rank += 1
-    return rank
-
-
-def solve_lyapunov(m_factor, Q) -> np.ndarray:
-    """Solve ``P @ M + M.T @ P = Q`` for symmetric positive definite Q.
-
-    The equation is vectorized into a dense ``(n^2, n^2)`` Kronecker system
-    and solved directly.  Callers that want the Hurwitz-style form
-    ``P M + M.T P = -Q`` pass ``-M``.
-
-    Parameters
-    ----------
-    m_factor : (n, n) array_like
-        Coefficient matrix M.
-    Q : (n, n) array_like
-        Symmetric positive definite right-hand side.
-
-    Returns
-    -------
-    (n, n) ndarray
-        Symmetric P with infinity-norm residual at most
-        ``1e-10 * ||Q||_inf``.
-
-    Raises
-    ------
-    ResonantPairError
-        Two eigenvalues of M sum to zero, so the linear map
-        ``P -> P M + M.T P`` is singular.
-    """
-    M = _as_square(m_factor, "m_factor")
-    Qm = _as_square(Q, "Q")
-    n = M.shape[0]
-    if Qm.shape != M.shape:
-        raise ValueError(f"Q shape {Qm.shape} does not match m_factor shape {M.shape}")
-    if np.abs(Qm - Qm.T).max() > 1e-12 * max(1.0, np.abs(Qm).max()):
-        raise ValueError("Q must be symmetric")
-    if np.linalg.eigvalsh(Qm).min() <= 0:
-        raise ValueError("Q must be positive definite")
-
-    lam = np.linalg.eigvals(M)
-    scale = max(1.0, float(np.abs(lam).max()))
-    sums = lam[:, None] + lam[None, :]
-    i, j = np.unravel_index(int(np.argmin(np.abs(sums))), sums.shape)
-    if abs(sums[i, j]) <= 1e-12 * scale:
-        raise ResonantPairError(
-            f"resonant pair: eigenvalues {lam[i]:.6g} and {lam[j]:.6g} sum to ~0; "
-            "the Lyapunov operator is singular"
-        )
-
-    I = np.eye(n)
-    op = np.kron(M.T, I) + np.kron(I, M.T)
-    vec_p = np.linalg.solve(op, Qm.flatten(order="F"))
-    P = vec_p.reshape((n, n), order="F")
+    M = np.asarray(M, dtype=float)
+    # Hurwitz rules out resonant pairs: no two eigenvalues can sum to zero.
+    max_re = float(np.linalg.eigvals(M).real.max())
+    if max_re >= 0:
+        raise ValueError(f"matrix is not Hurwitz (max Re eig = {max_re:.6g}); no rate certificate")
+    I = np.eye(M.shape[0])
+    P = scipy.linalg.solve_continuous_lyapunov(M.T, -I)
     P = 0.5 * (P + P.T)
-    residual = np.abs(P @ M + M.T @ P - Qm).max()
-    if residual > LYAP_RESIDUAL_RTOL * max(1.0, np.abs(Qm).max()):
-        raise SingularSystemError(
-            f"Lyapunov solve residual {residual:.3e} exceeds tolerance; "
-            "the vectorized system is ill-conditioned"
-        )
-    return P
-
-
-def solve_block_linear(a_blk, b) -> np.ndarray:
-    """Solve a square dense system ``A x = b`` with a residual guarantee.
-
-    Parameters
-    ----------
-    a_blk : (n, n) array_like
-    b : (n,) array_like
-
-    Returns
-    -------
-    (n,) ndarray
-        Solution with ``||A x - b||_inf <= 1e-10 * (1 + ||b||_inf)``.
-
-    Raises
-    ------
-    SingularSystemError
-        The LU factorization exposes a vanishing pivot; the smallest pivot
-        magnitude is reported.
-    """
-    A = _as_square(a_blk, "a_blk")
-    rhs = np.asarray(b, dtype=float).reshape(-1)
-    n = A.shape[0]
-    if rhs.shape[0] != n:
-        raise ValueError(f"b has length {rhs.shape[0]}, expected {n}")
-    if n == 0:
-        return rhs.copy()
-    with warnings.catch_warnings():
-        # an exactly-zero pivot is reported through SingularSystemError below
-        warnings.simplefilter("ignore", scipy.linalg.LinAlgWarning)
-        lu, piv = scipy.linalg.lu_factor(A, check_finite=False)
-    pivots = np.abs(np.diag(lu))
-    smallest = float(pivots.min())
-    if smallest <= 1e-14 * max(1.0, float(pivots.max())):
-        raise SingularSystemError(
-            f"singular system: smallest pivot {smallest:.3e} (matrix size {n})"
-        )
-    x = scipy.linalg.lu_solve((lu, piv), rhs, check_finite=False)
-    residual = np.abs(A @ x - rhs).max()
-    bound = LINSOLVE_RESIDUAL_RTOL * (1.0 + np.abs(rhs).max())
-    if residual > bound:
-        # One step of iterative refinement rescues marginally conditioned systems.
-        x = x + scipy.linalg.lu_solve((lu, piv), rhs - A @ x, check_finite=False)
-        residual = np.abs(A @ x - rhs).max()
-        if residual > bound:
-            raise SingularSystemError(
-                f"solve residual {residual:.3e} exceeds {bound:.3e}; "
-                f"smallest pivot {smallest:.3e}"
-            )
-    return x
+    residual = np.abs(P @ M + M.T @ P + I).max()
+    if residual > LYAP_RESIDUAL_RTOL:
+        raise ValueError(f"Lyapunov solve residual {residual:.3e} exceeds {LYAP_RESIDUAL_RTOL:g}")
+    eigs = np.linalg.eigvalsh(P)
+    if eigs.min() <= 0:
+        raise ValueError("Lyapunov certificate is not positive definite")
+    return P, 1.0 / (2.0 * float(eigs.max()))

@@ -19,10 +19,11 @@ import warnings
 from dataclasses import dataclass, field
 
 import numpy as np
-
-from .numerics import SingularSystemError, crank, eig, solve_block_linear
+import scipy.linalg
 
 REGULATOR_RTOL = 1e-10
+# Singular values below RANK_RTOL * sigma_max do not count towards a rank.
+RANK_RTOL = 1e-9
 # Repeated exosystem eigenvalues are collapsed before the rank loop.
 EIGENVALUE_DEDUP_TOL = 1e-8
 
@@ -125,9 +126,9 @@ class Exosystem:
         v = np.asarray(self.v0_init, dtype=float).reshape(-1)
         if v.shape[0] != S.shape[0]:
             raise ValueError(f"v0_init has length {v.shape[0]}, expected {S.shape[0]}")
-        self.S0 = S
+        self.S0 = _mat(S, S.shape[0], S.shape[0], "S0")
         self.v0_init = v
-        worst = max(ev.real for ev in eig(S))
+        worst = float(np.linalg.eigvals(S).real.max())
         if worst > 1e-9:
             warnings.warn(
                 f"exosystem is not neutrally stable: max Re(eig(S0)) = {worst:.4g} > 0",
@@ -163,17 +164,17 @@ class RegulationRankResult:
 
 def _distinct_eigenvalues(S0: np.ndarray) -> list[complex]:
     distinct: list[complex] = []
-    for ev in eig(S0):
+    for ev in np.linalg.eigvals(S0):
         if all(abs(ev - seen) > EIGENVALUE_DEDUP_TOL for seen in distinct):
             distinct.append(complex(ev))
     return distinct
 
 
-def check_regulation_rank(agent: AgentModel, exo: Exosystem, tol: float = 1e-9) -> RegulationRankResult:
+def check_regulation_rank(agent: AgentModel, exo: Exosystem) -> RegulationRankResult:
     """Test that [A - cI, B; C, D] has full row rank n+p at every exosystem eigenvalue.
 
     This is the solvability condition for the regulator equations; the
-    result records the measured rank per distinct eigenvalue.
+    result records the measured SVD rank per distinct eigenvalue.
     """
     n, p = agent.n, agent.p
     required = n + p
@@ -183,17 +184,18 @@ def check_regulation_rank(agent: AgentModel, exo: Exosystem, tol: float = 1e-9) 
             [agent.A - c * np.eye(n), agent.B.astype(complex)],
             [agent.C.astype(complex), agent.D.astype(complex)],
         ])
-        r = crank(block, tol)
+        r = int(np.linalg.matrix_rank(block, rtol=RANK_RTOL))
         result.checks.append((c, r))
         if r != required:
             result.ok = False
     return result
 
 
-def check_full_rank_io(agent: AgentModel, tol: float = 1e-9) -> bool:
+def check_full_rank_io(agent: AgentModel) -> bool:
     """True iff rank(B) = rank(Cm) = n, the prerequisite for the closed-form gain rules."""
     n = agent.n
-    return crank(agent.B, tol) == n and crank(agent.Cm, tol) == n
+    return bool(np.linalg.matrix_rank(agent.B, rtol=RANK_RTOL) == n
+                and np.linalg.matrix_rank(agent.Cm, rtol=RANK_RTOL) == n)
 
 
 def solve_regulator(agent: AgentModel, exo: Exosystem) -> RegulatorSolution:
@@ -217,10 +219,13 @@ def solve_regulator(agent: AgentModel, exo: Exosystem) -> RegulatorSolution:
 
     try:
         if M.shape[0] == M.shape[1]:
-            z = solve_block_linear(M, rhs)
+            with warnings.catch_warnings():
+                # an ill-conditioned square system is as unusable as a singular one
+                warnings.simplefilter("error", scipy.linalg.LinAlgWarning)
+                z = scipy.linalg.solve(M, rhs)
         else:
             z, *_ = np.linalg.lstsq(M, rhs, rcond=None)
-    except SingularSystemError as exc:
+    except (np.linalg.LinAlgError, scipy.linalg.LinAlgWarning) as exc:
         raise RegulatorError(
             "regulator equations are numerically singular; the rank condition "
             "on [A - cI, B; C, D] fails at some exosystem eigenvalue "

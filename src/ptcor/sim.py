@@ -51,6 +51,10 @@ from .plant import Exosystem
 from .synthesis import KTIL_CONSISTENCY_TOL, GainSet, SynthesisError, ktil_mismatch
 
 ESCAPE_NORM = 1e9
+# Two times closer than a few ulps of |t| (or 1e-15 below |t| = 1) are the
+# same instant.  Anything wider lets a run stop where accumulated steps fall
+# short of a boundary, before the clipped step that lands on it.
+TIME_RTOL = 1e-15
 
 MODES = ("state_fb", "output_fb", "baseline_asymptotic", "baseline_fixed_time")
 PTCOR_MODES = ("state_fb", "output_fb")
@@ -448,21 +452,25 @@ def _drive(op: _Operator, y0: np.ndarray, schedule: MuSchedule, cfg: SimConfig):
     clamp_t = horizon - schedule.eps
     rhs = op.rhs
 
+    def near(a, b):
+        return abs(a - b) <= TIME_RTOL * max(1.0, abs(a))
+
     def record(t_, y_):
-        if not ts or abs(ts[-1] - t_) >= 1e-15:
+        if not ts or not near(t_, ts[-1]):
             ts.append(t_)
             ys.append(y_)
 
     record(t, y)
     steps = 0
-    while t < cfg.duration - 1e-12:
+    while t < cfg.duration and not near(t, cfg.duration):
         if op.guarded and t < clamp_t:
             h = max(cfg.min_dt, min(cfg.dt, cfg.guard / mu(schedule, t)))
             boundary = min(clamp_t, cfg.duration)
         else:
             h = cfg.dt
-            boundary = cfg.duration if t >= horizon - 1e-15 else min(horizon, cfg.duration)
-        if t + h > boundary - 1e-15:
+            past = t >= horizon or near(t, horizon)
+            boundary = cfg.duration if past else min(horizon, cfg.duration)
+        if t + h > boundary or near(t + h, boundary):
             h = boundary - t
         if h <= 0:
             break
@@ -477,15 +485,15 @@ def _drive(op: _Operator, y0: np.ndarray, schedule: MuSchedule, cfg: SimConfig):
         if not float(np.abs(y).max()) <= ESCAPE_NORM:
             diag = f"finite-escape detected at t = {t:.9g} (state norm > {ESCAPE_NORM:g})"
             return np.array(ts), np.vstack(ys), True, t, diag
-        at_clamp = op.guarded and abs(t - clamp_t) < 1e-15 and clamp_t < cfg.duration
-        at_boundary = abs(t - boundary) < 1e-15
+        at_clamp = op.guarded and near(t, clamp_t) and clamp_t < cfg.duration
+        at_boundary = near(t, boundary)
         if steps % cfg.stride == 0 or at_clamp or at_boundary:
             record(t, y)
         if at_clamp:
             # Jump across the capped sliver [horizon - eps, horizon]; the
             # post-horizon branch continues from the clamped state.
             t = horizon
-            if t < cfg.duration - 1e-15:
+            if t < cfg.duration and not near(t, cfg.duration):
                 record(t, y)
     record(t, y)
     return np.array(ts), np.vstack(ys), False, None, ""

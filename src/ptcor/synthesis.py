@@ -32,7 +32,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .graph import ObserverRate
-from .numerics import eig, solve_lyapunov
+from .numerics import lyapunov_certificate
 from .plant import Exosystem
 
 KTIL_CONSISTENCY_TOL = 1e-8
@@ -143,14 +143,14 @@ class ConditionReport:
 def check_ptor_state(B, K) -> tuple[bool, float]:
     """State-loop feasibility: max Re eig(B K) strictly below -1."""
     BK = np.asarray(B, dtype=float) @ np.asarray(K, dtype=float)
-    max_re = max(ev.real for ev in eig(BK))
+    max_re = np.linalg.eigvals(BK).real.max()
     return (max_re < -1.0, float(max_re))
 
 
 def check_ptor_output(Ltil, Cm) -> tuple[bool, float]:
     """Output-injection feasibility: min Re eig(Ltil Cm) strictly above 1."""
     LC = np.asarray(Ltil, dtype=float) @ np.asarray(Cm, dtype=float)
-    min_re = min(ev.real for ev in eig(LC))
+    min_re = np.linalg.eigvals(LC).real.min()
     return (min_re > 1.0, float(min_re))
 
 
@@ -192,13 +192,10 @@ def certify_rate(Mcl) -> tuple[np.ndarray, float]:
     Solves P Mcl + Mcl^T P = -I and returns (P, 1 / (2 lambda_max(P))).
     The rate never exceeds the spectral abscissa magnitude of Mcl.
     """
-    M = np.asarray(Mcl, dtype=float)
-    max_re = max(ev.real for ev in eig(M))
-    if max_re >= 0:
-        raise SynthesisError(f"matrix is not Hurwitz (max Re eig = {max_re:.6g}); no rate certificate")
-    P = solve_lyapunov(-M, np.eye(M.shape[0]))
-    lam_max = float(np.linalg.eigvalsh(P).max())
-    return P, 1.0 / (2.0 * lam_max)
+    try:
+        return lyapunov_certificate(Mcl)
+    except ValueError as exc:
+        raise SynthesisError(str(exc)) from exc
 
 
 def check_cascade_criterion(r: CascadeRates) -> bool:

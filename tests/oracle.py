@@ -1,10 +1,14 @@
-"""Literal plant-coordinate closed loops: the independent cross-check of `ptcor.sim`.
+"""Independent references for the tests: literal closed loops and a Kronecker Lyapunov solve.
 
 The integrator runs every mode in regulation-error coordinates.  The
 functions here write the same loops per agent, straight from the control
 laws, in plant coordinates (leader state v0, observer states v_i, plant
 states x_i, local observer states xhat_i), and map between the two
 coordinate systems, so the tests can compare both routes.
+
+`solve_lyapunov` solves P M + M^T P = Q through the dense (n^2, n^2)
+Kronecker system, a route that shares nothing with the Bartels-Stewart
+solver behind `ptcor.numerics.lyapunov_certificate`.
 """
 
 from __future__ import annotations
@@ -175,3 +179,55 @@ def plant_state(model: ClosedLoopModel, y: np.ndarray, observer: bool) -> Closed
             xhat.append(y[start:start + len(xi)] + xi)
             start += len(xi)
     return ClosedLoopState(v0=v0, v=v, x=x, xhat=xhat if observer else None)
+
+
+def _as_square(M, name: str = "matrix") -> np.ndarray:
+    A = np.asarray(M, dtype=float)
+    if A.ndim != 2 or A.shape[0] != A.shape[1]:
+        raise ValueError(f"{name} must be square, got shape {A.shape}")
+    if not np.isfinite(A).all():
+        raise ValueError(f"{name} contains non-finite entries")
+    return A
+
+
+def solve_lyapunov(m_factor, Q) -> np.ndarray:
+    """Solve ``P @ M + M.T @ P = Q`` for symmetric positive definite Q.
+
+    The equation is vectorized into a dense ``(n^2, n^2)`` Kronecker system
+    and solved directly.  Callers that want the Hurwitz-style form
+    ``P M + M.T P = -Q`` pass ``-M``.  Raises ValueError when two
+    eigenvalues of M sum to zero (the linear map ``P -> P M + M.T P`` is
+    singular) or when the residual exceeds ``1e-10 * ||Q||_inf``.
+    """
+    M = _as_square(m_factor, "m_factor")
+    Qm = _as_square(Q, "Q")
+    n = M.shape[0]
+    if Qm.shape != M.shape:
+        raise ValueError(f"Q shape {Qm.shape} does not match m_factor shape {M.shape}")
+    if np.abs(Qm - Qm.T).max() > 1e-12 * max(1.0, np.abs(Qm).max()):
+        raise ValueError("Q must be symmetric")
+    if np.linalg.eigvalsh(Qm).min() <= 0:
+        raise ValueError("Q must be positive definite")
+
+    lam = np.linalg.eigvals(M)
+    scale = max(1.0, float(np.abs(lam).max()))
+    sums = lam[:, None] + lam[None, :]
+    i, j = np.unravel_index(int(np.argmin(np.abs(sums))), sums.shape)
+    if abs(sums[i, j]) <= 1e-12 * scale:
+        raise ValueError(
+            f"resonant pair: eigenvalues {lam[i]:.6g} and {lam[j]:.6g} sum to ~0; "
+            "the Lyapunov operator is singular"
+        )
+
+    I = np.eye(n)
+    op = np.kron(M.T, I) + np.kron(I, M.T)
+    vec_p = np.linalg.solve(op, Qm.flatten(order="F"))
+    P = vec_p.reshape((n, n), order="F")
+    P = 0.5 * (P + P.T)
+    residual = np.abs(P @ M + M.T @ P - Qm).max()
+    if residual > 1e-10 * max(1.0, np.abs(Qm).max()):
+        raise ValueError(
+            f"Lyapunov solve residual {residual:.3e} exceeds tolerance; "
+            "the vectorized system is ill-conditioned"
+        )
+    return P

@@ -12,7 +12,7 @@ from ptcor.graph import (
     observer_rate,
     partition_laplacian,
 )
-from ptcor.numerics import eig
+from tests.oracle import solve_lyapunov
 
 CHAIN_EDGES = [(k, k + 1, 1.0) for k in range(6)]
 
@@ -99,8 +99,8 @@ class TestObserverRate:
 
 
 @st.composite
-def rooted_networks(draw):
-    n = draw(st.integers(min_value=1, max_value=6))
+def rooted_networks(draw, max_n=6):
+    n = draw(st.integers(min_value=1, max_value=max_n))
     edges = []
     # guarantee reachability: node k gets an in-edge from a lower-index node
     for k in range(1, n + 1):
@@ -122,6 +122,19 @@ def rooted_networks(draw):
 def test_rooted_graphs_have_stable_follower_block(net):
     assert has_leader_spanning_tree(net)
     parts = partition_laplacian(net)
-    assert all(ev.real > 0 for ev in eig(parts.H))
+    assert all(ev.real > 0 for ev in np.linalg.eigvals(parts.H))
     rate = observer_rate(parts)
     assert rate.rho_H > 0
+
+
+@given(rooted_networks(max_n=30))
+@settings(max_examples=40, deadline=None)
+def test_observer_rate_matches_kronecker_oracle(net):
+    parts = partition_laplacian(net)
+    N = net.n_followers
+    rate = observer_rate(parts)
+    P_oracle = solve_lyapunov(parts.H, np.eye(N))
+    rho_oracle = 1.0 / (2.0 * np.linalg.eigvalsh(P_oracle).max())
+    assert rate.rho_H == pytest.approx(rho_oracle, rel=1e-12, abs=0)
+    assert np.abs(rate.P_H - P_oracle).max() <= 1e-12 * np.abs(P_oracle).max()
+    assert np.abs(rate.P_H @ parts.H + parts.H.T @ rate.P_H - np.eye(N)).max() <= 1e-10

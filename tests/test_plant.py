@@ -160,6 +160,12 @@ class TestSolveRegulator:
             solve_regulator(scalar_agent(A=0.0, B=0.0, C=1.0, D=0.0, E=1.0, F=1.0),
                             Exosystem(S0=np.zeros((1, 1)), v0_init=[0.0]))
 
+    def test_near_singular_square_system_rejected(self):
+        # [A - 0 I, B; C, D] has determinant -4.4e-16: singular to working precision
+        with pytest.raises(RegulatorError, match="numerically singular"):
+            solve_regulator(scalar_agent(A=1.0, B=1.0, C=1.0, D=1.0 + 4.4e-16, E=1.0, F=1.0),
+                            Exosystem(S0=np.zeros((1, 1)), v0_init=[0.0]))
+
     def test_uniqueness_under_row_permutation(self):
         agent, exo = rlc_agent(), rlc_exo()
         sol = solve_regulator(agent, exo)

@@ -179,6 +179,14 @@ class TestCli:
         assert rc == 2
         assert "schema:" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("flag, value", [("--dt", "-1"), ("--dt", "0"),
+                                             ("--T", "-1"), ("--mu-cap", "0.01")])
+    def test_bad_override_is_schema_error(self, tmp_path, capsys, flag, value):
+        rc = main(["certify", "example1_rlc", flag, value, "--out", str(tmp_path)])
+        err = capsys.readouterr().err
+        assert rc == 2
+        assert err.startswith("schema:") and f"{flag} {value}" in err
+
     def test_inconsistent_feedforward(self, tmp_path, capsys):
         scenario = load_scenario("example1_rlc")
         gains = compile_model(scenario).gains

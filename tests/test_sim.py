@@ -353,6 +353,14 @@ class TestIntegrate:
         assert traj.escape_time is not None and traj.escape_time < 1.0
         assert "finite-escape" in traj.diagnostic
 
+    @pytest.mark.parametrize("mode", MODES)
+    def test_last_sample_lands_on_duration(self, mode):
+        # 1000 post-horizon steps of 1e-3 sum to 1.1e-13 short of 2
+        s = scalar_scenario(mode=mode, duration=2.0)
+        traj = integrate(s)
+        assert traj.t[-1] == 2.0
+        assert (np.diff(traj.t) > 0).all()
+
     def test_short_duration_warns(self):
         s = scalar_scenario(duration=0.5)
         with pytest.warns(UserWarning, match="horizon"):

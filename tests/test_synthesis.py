@@ -19,6 +19,7 @@ from ptcor.synthesis import (
     synthesize_Ltil,
     verify_gains,
 )
+from tests.oracle import solve_lyapunov
 from tests.test_plant import rlc_agent, rlc_exo
 
 B1 = 0.25 * np.array([[1.0, 1.0], [1.0, -3.0]])
@@ -122,13 +123,21 @@ class TestCertifyRate:
            st.floats(min_value=0.01, max_value=100.0))
     @settings(max_examples=40, deadline=None)
     def test_rate_invariant_to_joint_certificate_scaling(self, vals, c):
-        from ptcor.numerics import solve_lyapunov
         M = np.array(vals).reshape(3, 3) - 5.0 * np.eye(3)
         P1 = solve_lyapunov(-M, np.eye(3))
         Pc = solve_lyapunov(-M, c * np.eye(3))
         r1 = 1.0 / (2.0 * np.linalg.eigvalsh(P1).max())
         rc = c / (2.0 * np.linalg.eigvalsh(Pc).max())
         assert rc == pytest.approx(r1, rel=1e-8)
+        assert certify_rate(M)[1] == pytest.approx(r1, rel=1e-8)
+
+    def test_agent_order_past_old_eigenvalue_cap(self):
+        B = np.eye(40)
+        K = synthesize_K(B, 3.0)
+        assert check_ptor_state(B, K) == (True, -3.0)
+        P, rate = certify_rate(B @ K)
+        assert rate == pytest.approx(3.0, abs=1e-12)
+        assert np.allclose(P, np.eye(40) / 6.0, atol=1e-12)
 
 
 class TestCascadeCriterion:
