@@ -35,6 +35,10 @@ class CertifyTolerances:
     def __post_init__(self):
         if self.post_tol is None:
             self.post_tol = 2.0 * self.tol_abs
+        for name in ("tol_abs", "tol_rel", "post_tol"):
+            value = getattr(self, name)
+            if not (np.isfinite(value) and value >= 0):
+                raise ValueError(f"{name} must be non-negative and finite, got {value}")
 
 
 @dataclass

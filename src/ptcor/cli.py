@@ -43,16 +43,14 @@ def _apply_overrides(scenario: Scenario, args) -> Scenario:
                      (("T", args.T), ("mu-cap", args.mu_cap)) if value is not None]
             raise ScenarioError([f"{' '.join(flags)}: {exc}"]) from exc
         scenario.mu_schedule = sched
-    cfg = scenario.sim_config
     changes = {}
     if getattr(args, "mode", None) is not None:
         changes["mode"] = args.mode
     if getattr(args, "dt", None) is not None:
         changes["dt"] = args.dt
-        changes["min_dt"] = min(cfg.min_dt, args.dt)
     if changes:
         try:
-            scenario.sim_config = replace(cfg, **changes)
+            scenario.sim_config = replace(scenario.sim_config, **changes)
         except ValueError as exc:
             raise ScenarioError([f"--dt {args.dt:g}: {exc}"]) from exc
     return scenario
@@ -64,12 +62,13 @@ def _load(args) -> Scenario:
 
 
 def _tols(args) -> CertifyTolerances:
-    kw = {}
-    if getattr(args, "tol_abs", None) is not None:
-        kw["tol_abs"] = args.tol_abs
-    if getattr(args, "tol_rel", None) is not None:
-        kw["tol_rel"] = args.tol_rel
-    return CertifyTolerances(**kw)
+    kw = {name: getattr(args, name) for name in ("tol_abs", "tol_rel")
+          if getattr(args, name, None) is not None}
+    try:
+        return CertifyTolerances(**kw)
+    except ValueError as exc:
+        flags = " ".join(f"--{name.replace('_', '-')} {value:g}" for name, value in kw.items())
+        raise ScenarioError([f"{flags}: {exc}"]) from exc
 
 
 def _out_dir(args) -> Path:
@@ -111,7 +110,7 @@ def cmd_check(args) -> int:
     mode = scenario.sim_config.mode
     if mode not in ("state_fb", "output_fb"):
         mode = "output_fb" if model.gains.Ltil is not None else "state_fb"
-    report = verify_gains(mode, model.gains, rates, scenario.agents, scenario.exo, model.regs)
+    report = verify_gains(mode, model.gains, rates, scenario.agents, model.regs)
     print(f"gain conditions ({mode}, rho_H = {rates.rho_H:.6g}):")
     print(report.to_text())
     if report.has_errors():
@@ -163,19 +162,19 @@ def cmd_simulate(args) -> int:
 
 def cmd_certify(args) -> int:
     scenario = _load(args)
+    tols = _tols(args)
     model = compile_model(scenario)
     traj, csv_path = _run_and_write(scenario, args, model)
     rates = observer_rate(partition_laplacian(scenario.network))
     theta = model.gains.theta_min()
     envelope = EnvelopeParams.from_rates(rates, model.gains.psi, scenario.exo.S0, theta=theta)
-    report = certify(traj, scenario.mu_schedule, _tols(args), envelope)
+    report = certify(traj, scenario.mu_schedule, tols, envelope)
     out = _out_dir(args)
     mode = scenario.sim_config.mode
     rpt_path = out / f"{scenario.name}_{mode}_report.txt"
     rpt_path.write_text(report.to_text() + "\n", encoding="utf-8")
     if mode in ("state_fb", "output_fb"):
-        conditions = verify_gains(mode, model.gains, rates, scenario.agents,
-                                  scenario.exo, model.regs)
+        conditions = verify_gains(mode, model.gains, rates, scenario.agents, model.regs)
         cond_path = out / f"{scenario.name}_{mode}_conditions.txt"
         cond_path.write_text(conditions.to_text() + "\n", encoding="utf-8")
         print(f"wrote {cond_path}")

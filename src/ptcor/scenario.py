@@ -29,7 +29,6 @@ under ``ptcor/scenarios/`` for complete examples):
     sim:
       mode: output_fb
       dt: 1.0e-4
-      min_dt: 1.0e-12
       guard: 0.1
       duration: 5.0
       stride: 10
@@ -84,47 +83,14 @@ class Scenario:
     v_init: np.ndarray     # (N, q)
     xhat_init: list
 
-    def equals(self, other: "Scenario") -> bool:
-        if self.name != other.name or len(self.agents) != len(other.agents):
-            return False
-        if not np.array_equal(self.network.adjacency, other.network.adjacency):
-            return False
-        for a, b in zip(self.agents, other.agents):
-            for f in ("A", "B", "E", "C", "D", "F", "Cm", "Dm", "Fm"):
-                if not np.array_equal(getattr(a, f), getattr(b, f)):
-                    return False
-        if not np.array_equal(self.exo.S0, other.exo.S0):
-            return False
-        if not np.array_equal(self.exo.v0_init, other.exo.v0_init):
-            return False
-        ga, gb = self.gain_spec, other.gain_spec
-        if ga.psi != gb.psi or ga.mbar_K != gb.mbar_K or ga.mbar_L != gb.mbar_L:
-            return False
-        for f in ("Kbar", "Ktil", "K", "L", "Ltil"):
-            ma, mb = getattr(ga, f), getattr(gb, f)
-            if (ma is None) != (mb is None):
-                return False
-            if ma is not None and not np.array_equal(np.asarray(ma), np.asarray(mb)):
-                return False
-        sa, sb = self.mu_schedule, other.mu_schedule
-        if (sa.T, sa.t0, sa.a, sa.mu_cap) != (sb.T, sb.t0, sb.a, sb.mu_cap):
-            return False
-        ca, cb = self.sim_config, other.sim_config
-        if (ca.mode, ca.dt, ca.min_dt, ca.guard, ca.duration, ca.stride) != \
-           (cb.mode, cb.dt, cb.min_dt, cb.guard, cb.duration, cb.stride):
-            return False
-        if (ca.baseline.c1, ca.baseline.c2, ca.baseline.c3, ca.baseline.c4) != \
-           (cb.baseline.c1, cb.baseline.c2, cb.baseline.c3, cb.baseline.c4):
-            return False
-        if not np.array_equal(self.v_init, other.v_init):
-            return False
-        for xa, xb in zip(self.x_init, other.x_init):
-            if not np.array_equal(xa, xb):
-                return False
-        for xa, xb in zip(self.xhat_init, other.xhat_init):
-            if not np.array_equal(xa, xb):
-                return False
-        return True
+
+def _number(node, path: str, issues: list, kind=float):
+    """`kind(node)`, or None after recording an issue at `path`."""
+    try:
+        return kind(node)
+    except (TypeError, ValueError):
+        issues.append(f"{path}: expected a number, got {node!r}")
+        return None
 
 
 def _parse_matrix(node, path: str, issues: list) -> np.ndarray | None:
@@ -133,10 +99,13 @@ def _parse_matrix(node, path: str, issues: list) -> np.ndarray | None:
         return None
     shape = node["shape"]
     data = node["data"]
-    if (not isinstance(shape, (list, tuple))) or len(shape) != 2:
-        issues.append(f"{path}.shape: expected [rows, cols]")
+    try:
+        r, c = (int(v) for v in shape)
+    except (TypeError, ValueError):
+        r = c = -1
+    if not isinstance(shape, (list, tuple)) or r < 0 or c < 0:
+        issues.append(f"{path}.shape: expected [rows, cols], got {shape!r}")
         return None
-    r, c = int(shape[0]), int(shape[1])
     try:
         flat = np.asarray(data, dtype=float).reshape(-1)
     except (TypeError, ValueError):
@@ -231,7 +200,9 @@ def scenario_from_dict(doc: dict, name_fallback: str = "scenario") -> Scenario:
         if not isinstance(entry, dict):
             issues.append(f"agents[{k}]: expected a mapping of matrices")
             continue
-        copies = int(entry.get("copies", 1))
+        copies = _number(entry.get("copies", 1), f"agents[{k}].copies", issues, int)
+        if copies is not None and copies < 1:
+            issues.append(f"agents[{k}].copies: expected at least 1, got {copies}")
         mats = {}
         for f in ("A", "B", "E", "C", "D", "F", "Cm", "Dm", "Fm"):
             if f not in entry:
@@ -243,10 +214,10 @@ def scenario_from_dict(doc: dict, name_fallback: str = "scenario") -> Scenario:
                 mats = None
                 break
             mats[f] = M
-        if mats is None:
+        if mats is None or copies is None or copies < 1:
             continue
         try:
-            for _ in range(max(copies, 1)):
+            for _ in range(copies):
                 agents.append(AgentModel(**{f: m.copy() for f, m in mats.items()}))
         except ValueError as exc:
             issues.append(f"agents[{k}]: {exc}")
@@ -264,14 +235,14 @@ def scenario_from_dict(doc: dict, name_fallback: str = "scenario") -> Scenario:
         issues.append("gains: expected a section with at least psi")
     else:
         gain_spec = GainSpec(
-            psi=float(gn["psi"]),
+            psi=_number(gn["psi"], "gains.psi", issues),
             Kbar=_gain_entry(gn.get("Kbar"), "gains.Kbar", issues),
             Ktil=_gain_entry(gn.get("Ktil"), "gains.Ktil", issues),
             K=_gain_entry(gn.get("K"), "gains.K", issues),
             L=_gain_entry(gn.get("L"), "gains.L", issues),
             Ltil=_gain_entry(gn.get("Ltil"), "gains.Ltil", issues),
-            mbar_K=None if gn.get("mbar_K") is None else float(gn["mbar_K"]),
-            mbar_L=None if gn.get("mbar_L") is None else float(gn["mbar_L"]),
+            mbar_K=None if gn.get("mbar_K") is None else _number(gn["mbar_K"], "gains.mbar_K", issues),
+            mbar_L=None if gn.get("mbar_L") is None else _number(gn["mbar_L"], "gains.mbar_L", issues),
         )
 
     sched = None
@@ -286,7 +257,7 @@ def scenario_from_dict(doc: dict, name_fallback: str = "scenario") -> Scenario:
                 a=None if mu_node.get("a") is None else float(mu_node["a"]),
                 mu_cap=float(mu_node.get("cap", 1e6)),
             )
-        except ValueError as exc:
+        except (TypeError, ValueError) as exc:
             issues.append(f"mu: {exc}")
 
     cfg = None
@@ -299,7 +270,6 @@ def scenario_from_dict(doc: dict, name_fallback: str = "scenario") -> Scenario:
             cfg = SimConfig(
                 mode=str(sim_node.get("mode", "output_fb")),
                 dt=float(sim_node.get("dt", 1e-4)),
-                min_dt=float(sim_node.get("min_dt", 1e-12)),
                 guard=float(sim_node.get("guard", 0.1)),
                 duration=float(sim_node.get("duration", 5.0)),
                 stride=int(sim_node.get("stride", 10)),
@@ -308,7 +278,7 @@ def scenario_from_dict(doc: dict, name_fallback: str = "scenario") -> Scenario:
                     c3=float(bc.get("c3", 5.0)), c4=float(bc.get("c4", 1.1)),
                 ),
             )
-        except ValueError as exc:
+        except (TypeError, ValueError) as exc:
             issues.append(f"sim: {exc}")
 
     init = doc.get("initial", {}) or {}
@@ -387,7 +357,7 @@ def scenario_to_dict(s: Scenario) -> dict:
                "a": float(s.mu_schedule.a), "cap": float(s.mu_schedule.mu_cap)},
         "sim": {
             "mode": s.sim_config.mode, "dt": float(s.sim_config.dt),
-            "min_dt": float(s.sim_config.min_dt), "guard": float(s.sim_config.guard),
+            "guard": float(s.sim_config.guard),
             "duration": float(s.sim_config.duration), "stride": int(s.sim_config.stride),
             "baseline_constants": {
                 "c1": float(s.sim_config.baseline.c1), "c2": float(s.sim_config.baseline.c2),

@@ -135,7 +135,6 @@ class SimConfig:
 
     mode: str = "output_fb"
     dt: float = 1e-4
-    min_dt: float = 1e-12
     guard: float = 0.1
     duration: float = 5.0
     stride: int = 10
@@ -144,8 +143,8 @@ class SimConfig:
     def __post_init__(self):
         if self.mode not in MODES:
             raise ValueError(f"mode must be one of {MODES}, got {self.mode!r}")
-        if not (0 < self.min_dt <= self.dt):
-            raise ValueError(f"need 0 < min_dt <= dt, got min_dt={self.min_dt}, dt={self.dt}")
+        if not self.dt > 0:
+            raise ValueError(f"dt must be positive, got {self.dt}")
         if self.guard <= 0:
             raise ValueError(f"guard must be positive, got {self.guard}")
         if self.stride < 1:
@@ -209,12 +208,11 @@ class Trajectory:
     def to_csv(self, path) -> None:
         fixed = [self.t, self.mu, self.e_norm, self.v_tilde_norm, self.x_bar_norm,
                  self.x_tilde_norm, self.u_tilde_norm] + [self.phi.get(k) for k in (1, 2, 3, 4)]
-        with open(path, "w", encoding="utf-8") as fh:
-            fh.write(", ".join(CSV_FIXED_COLUMNS + self.e_columns()) + "\n")
-            for s in range(len(self.t)):
-                row = ["" if arr is None else f"{arr[s]:.15g}" for arr in fixed]
-                row += [f"{v:.15g}" for v in self.e[s]]
-                fh.write(", ".join(row) + "\n")
+        present = [c for c in fixed if c is not None]
+        # One row format: a literal empty field stands for each absent column.
+        fmt = ", ".join(["" if c is None else "%.15g" for c in fixed] + ["%.15g"] * self.e.shape[1])
+        np.savetxt(path, np.column_stack(present + [self.e]), fmt=fmt, comments="",
+                   header=", ".join(CSV_FIXED_COLUMNS + self.e_columns()), encoding="utf-8")
 
     @classmethod
     def from_csv(cls, path, mode: str = "unknown") -> "Trajectory":
@@ -464,7 +462,7 @@ def _drive(op: _Operator, y0: np.ndarray, schedule: MuSchedule, cfg: SimConfig):
     steps = 0
     while t < cfg.duration and not near(t, cfg.duration):
         if op.guarded and t < clamp_t:
-            h = max(cfg.min_dt, min(cfg.dt, cfg.guard / mu(schedule, t)))
+            h = min(cfg.dt, cfg.guard / mu(schedule, t))
             boundary = min(clamp_t, cfg.duration)
         else:
             h = cfg.dt

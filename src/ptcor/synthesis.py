@@ -18,11 +18,13 @@ scaling P and Q jointly):
     theta_i    = 1 / (2 lambda_max(P_Ki)),  P_Ki (B_i K_i) + (B_i K_i)^T P_Ki = -I
     vartheta_i = 1 / (2 lambda_max(P_Li)),  likewise for -Ltil_i Cm_i.
 
-`verify_gains` evaluates every sufficient-condition inequality once and
-reports pass/fail; failures are warnings because the inequalities are
-sufficient, not necessary.  Only an inconsistent feedforward gain
-(Ktil != U - Kbar X) is a hard error, since it breaks the zero-error
-manifold itself.
+`verify_gains` evaluates every sufficient-condition inequality once, as
+one row of a pass/fail table, at its worst case over the followers.  The
+per-agent values are gathered into arrays first; a missing certificate is
+NaN there, so every row that needs it fails.  Failures are warnings because
+the inequalities are sufficient, not necessary.  Only an inconsistent
+feedforward gain (Ktil != U - Kbar X) is a hard error, since it breaks the
+zero-error manifold itself.
 """
 
 from __future__ import annotations
@@ -33,7 +35,6 @@ import numpy as np
 
 from .graph import ObserverRate
 from .numerics import lyapunov_certificate
-from .plant import Exosystem
 
 KTIL_CONSISTENCY_TOL = 1e-8
 
@@ -69,10 +70,6 @@ class GainSet:
     def theta_min(self) -> float | None:
         vals = [t for t in self.theta if t is not None]
         return min(vals) if len(vals) == len(self.theta) and vals else None
-
-    def vartheta_min(self) -> float | None:
-        vals = [t for t in self.vartheta if t is not None]
-        return min(vals) if self.vartheta and len(vals) == len(self.vartheta) else None
 
 
 @dataclass
@@ -121,12 +118,6 @@ class ConditionReport:
 
     def has_errors(self) -> bool:
         return any(c.severity == "error" and not c.passed for c in self.checks)
-
-    def by_name(self, name: str) -> ConditionCheck:
-        for c in self.checks:
-            if c.name == name:
-                return c
-        raise KeyError(name)
 
     def to_text(self) -> str:
         lines = [f"{'condition':<34} {'required':<30} {'measured':>12}  {'status':<6} severity"]
@@ -212,46 +203,14 @@ def check_cascade_criterion(r: CascadeRates) -> bool:
     return r.alpha1 >= max(2.0 * (r.alpha2 + r.m_exp) / r.n_exp, floor)
 
 
-def attach_rate_certificates(gains: GainSet, agents: list) -> GainSet:
-    """Fill theta/P_K (and vartheta/P_L when output gains exist) in place."""
-    gains.theta, gains.P_K = [], []
-    for agent, K in zip(agents, gains.K):
-        try:
-            P, rate = certify_rate(agent.B @ K)
-        except SynthesisError:
-            P, rate = None, None
-        gains.P_K.append(P)
-        gains.theta.append(rate)
-    gains.vartheta, gains.P_L = [], []
-    if gains.Ltil is not None:
-        for agent, Lt in zip(agents, gains.Ltil):
-            try:
-                P, rate = certify_rate(-(Lt @ agent.Cm))
-            except SynthesisError:
-                P, rate = None, None
-            gains.P_L.append(P)
-            gains.vartheta.append(rate)
-    return gains
-
-
-def _spectral_norm(M) -> float:
-    return float(np.linalg.norm(np.asarray(M, dtype=float), 2))
-
-
 def ktil_mismatch(gains: GainSet, regs: list) -> list:
     """Per-agent feedforward inconsistency ||Ktil_i - (U_i - Kbar_i X_i)||_inf."""
     return [float(np.abs(K_til - (reg.U - Kbar @ reg.X)).max())
             for K_til, Kbar, reg in zip(gains.Ktil, gains.Kbar, regs)]
 
 
-def verify_gains(
-    mode: str,
-    gains: GainSet,
-    rates: ObserverRate,
-    agents: list,
-    exo: Exosystem,
-    regs: list,
-) -> ConditionReport:
+def verify_gains(mode: str, gains: GainSet, rates: ObserverRate, agents: list,
+                 regs: list) -> ConditionReport:
     """Evaluate every sufficient-condition inequality for the chosen mode.
 
     Each inequality appears exactly once, instantiated at its worst case
@@ -263,141 +222,56 @@ def verify_gains(
         raise ValueError(f"mode must be 'state_fb' or 'output_fb', got {mode!r}")
     if regs is None or len(regs) != len(agents):
         raise ValueError("verify_gains needs one regulator solution per agent")
-    checks: list[ConditionCheck] = []
+    if mode == "output_fb" and (gains.Ltil is None or gains.L is None):
+        raise ValueError("output_fb verification needs L and Ltil gains")
     psi_rho = gains.psi * rates.rho_H
-    n_agents = len(agents)
+    checks: list[ConditionCheck] = []
+
+    def per_agent(values) -> np.ndarray:
+        # A missing certificate becomes NaN, so every comparison on it fails.
+        return np.array([np.nan if v is None else v for v in values or [None] * len(agents)])
 
     def fmt(values) -> str:
-        return "per agent: " + ", ".join(
-            "n/a" if v is None else f"{v:.6g}" for v in values
-        )
+        return "per agent: " + ", ".join("n/a" if np.isnan(v) else f"{v:.6g}" for v in values)
 
-    # Distributed-observer rate.
-    checks.append(ConditionCheck(
-        name="observer: psi*rho_H > 1",
-        required="psi*rho_H > 1",
-        measured=psi_rho,
-        passed=psi_rho > 1.0,
-        severity="warning",
-        detail=f"psi={gains.psi:.6g}, rho_H={rates.rho_H:.6g}",
-    ))
+    def row(name, required, measured, passed, detail, severity="warning"):
+        checks.append(ConditionCheck(name, required, float(measured), bool(passed), severity, detail))
 
-    # State-loop rate exists and exceeds 1.
-    thetas = list(gains.theta) if gains.theta else [None] * n_agents
-    theta_ok = all(t is not None for t in thetas)
-    theta_min = min(thetas) if theta_ok else float("nan")
-    checks.append(ConditionCheck(
-        name="state loop: theta_i > 1",
-        required="min_i theta_i > 1",
-        measured=theta_min,
-        passed=theta_ok and theta_min > 1.0,
-        severity="warning",
-        detail=fmt(thetas),
-    ))
+    def coupling(term, bound, detail, fallback=None):
+        worst = bound.max()
+        row(f"coupling: psi*rho_H >= {term}",
+            f"psi*rho_H >= {fallback or term}" if np.isnan(worst) else f"psi*rho_H >= {worst:.6g}",
+            psi_rho, psi_rho >= worst, fmt(detail))
 
-    theta_max = max(thetas) if theta_ok else float("nan")
-    checks.append(ConditionCheck(
-        name="coupling: psi*rho_H >= theta_i + 1",
-        required=f"psi*rho_H >= {theta_max + 1.0:.6g}" if theta_ok else "psi*rho_H >= theta_i + 1",
-        measured=psi_rho,
-        passed=theta_ok and psi_rho >= theta_max + 1.0,
-        severity="warning",
-        detail=fmt(thetas),
-    ))
-
-    # Necessity-side eigenvalue test for the state loop.
-    state_res = [check_ptor_state(agent.B, K) for agent, K in zip(agents, gains.K)]
-    worst_state = max(r for _, r in state_res)
-    checks.append(ConditionCheck(
-        name="solvability: max Re eig(BK) < -1",
-        required="max_i max Re eig(B_i K_i) < -1",
-        measured=worst_state,
-        passed=all(ok for ok, _ in state_res),
-        severity="warning",
-        detail=fmt([r for _, r in state_res]),
-    ))
-
-    # Feedforward consistency (hard error when violated).
-    mismatches = ktil_mismatch(gains, regs)
-    worst_mismatch = max(mismatches)
-    checks.append(ConditionCheck(
-        name="feedforward: Ktil = U - Kbar*X",
-        required=f"max_i ||Ktil_i - (U_i - Kbar_i X_i)||_inf <= {KTIL_CONSISTENCY_TOL:g}",
-        measured=worst_mismatch,
-        passed=worst_mismatch <= KTIL_CONSISTENCY_TOL,
-        severity="error",
-        detail=fmt(mismatches),
-    ))
-
+    theta = per_agent(gains.theta)
+    max_bk = np.array([check_ptor_state(a.B, K)[1] for a, K in zip(agents, gains.K)])
+    mismatch = np.array(ktil_mismatch(gains, regs))
+    row("observer: psi*rho_H > 1", "psi*rho_H > 1", psi_rho, psi_rho > 1.0,
+        f"psi={gains.psi:.6g}, rho_H={rates.rho_H:.6g}")
+    row("state loop: theta_i > 1", "min_i theta_i > 1", theta.min(), theta.min() > 1.0, fmt(theta))
+    coupling("theta_i + 1", theta + 1.0, theta)
+    row("solvability: max Re eig(BK) < -1", "max_i max Re eig(B_i K_i) < -1",
+        max_bk.max(), max_bk.max() < -1.0, fmt(max_bk))
+    row("feedforward: Ktil = U - Kbar*X",
+        f"max_i ||Ktil_i - (U_i - Kbar_i X_i)||_inf <= {KTIL_CONSISTENCY_TOL:g}",
+        mismatch.max(), mismatch.max() <= KTIL_CONSISTENCY_TOL, fmt(mismatch), "error")
     if mode == "output_fb":
-        if gains.Ltil is None or gains.L is None:
-            raise ValueError("output_fb verification needs L and Ltil gains")
-        varthetas = list(gains.vartheta) if gains.vartheta else [None] * n_agents
-        var_ok = all(t is not None for t in varthetas)
-        var_min = min(varthetas) if var_ok else float("nan")
-        checks.append(ConditionCheck(
-            name="local observer: vartheta_i > 1",
-            required="min_i vartheta_i > 1",
-            measured=var_min,
-            passed=var_ok and var_min > 1.0,
-            severity="warning",
-            detail=fmt(varthetas),
-        ))
-
-        var_max = max(varthetas) if var_ok else float("nan")
-        checks.append(ConditionCheck(
-            name="coupling: psi*rho_H >= vartheta_i + 1",
-            required=f"psi*rho_H >= {var_max + 1.0:.6g}" if var_ok else "psi*rho_H >= vartheta_i + 1",
-            measured=psi_rho,
-            passed=var_ok and psi_rho >= var_max + 1.0,
-            severity="warning",
-            detail=fmt(varthetas),
-        ))
-
-        # Observer must outrun the state loop by 3/2.
-        if theta_ok and var_ok:
-            gap = min(v - t for v, t in zip(varthetas, thetas))
-        else:
-            gap = float("nan")
-        checks.append(ConditionCheck(
-            name="cascade: vartheta_i >= theta_i + 3/2",
-            required="min_i (vartheta_i - theta_i) >= 1.5",
-            measured=gap,
-            passed=theta_ok and var_ok and gap >= 1.5,
-            severity="warning",
-            detail=fmt(varthetas),
-        ))
-
-        # Spectral norm is the tightest norm compatible with the Euclidean
-        # vector norm, hence the choice for ||Ltil Fm||.
-        if theta_ok:
-            bounds = [
-                t + 0.5 * _spectral_norm(Lt @ agent.Fm) ** 2 + 1.0
-                for t, Lt, agent in zip(thetas, gains.Ltil, agents)
-            ]
-            bound = max(bounds)
-        else:
-            bounds, bound = [], float("nan")
-        checks.append(ConditionCheck(
-            name="coupling: psi*rho_H >= theta_i + ||Ltil*Fm||^2/2 + 1",
-            required=f"psi*rho_H >= {bound:.6g}" if theta_ok else "psi*rho_H >= theta_i + ||Ltil Fm||^2/2 + 1",
-            measured=psi_rho,
-            passed=theta_ok and psi_rho >= bound,
-            severity="warning",
-            detail=fmt(bounds),
-        ))
-
-        out_res = [check_ptor_output(Lt, agent.Cm) for Lt, agent in zip(gains.Ltil, agents)]
-        worst_out = min(r for _, r in out_res)
-        checks.append(ConditionCheck(
-            name="solvability: min Re eig(Ltil*Cm) > 1",
-            required="min_i min Re eig(Ltil_i Cm_i) > 1",
-            measured=worst_out,
-            passed=all(ok for ok, _ in out_res),
-            severity="warning",
-            detail=fmt([r for _, r in out_res]),
-        ))
-
+        vartheta = per_agent(gains.vartheta)
+        min_lc = np.array([check_ptor_output(Lt, a.Cm)[1] for Lt, a in zip(gains.Ltil, agents)])
+        # Spectral norm: the tightest matrix norm compatible with the Euclidean vector norm.
+        fm_bound = theta + 0.5 * np.array([float(np.linalg.norm(Lt @ a.Fm, 2)) ** 2
+                                          for Lt, a in zip(gains.Ltil, agents)]) + 1.0
+        gap = (vartheta - theta).min()
+        row("local observer: vartheta_i > 1", "min_i vartheta_i > 1",
+            vartheta.min(), vartheta.min() > 1.0, fmt(vartheta))
+        coupling("vartheta_i + 1", vartheta + 1.0, vartheta)
+        row("cascade: vartheta_i >= theta_i + 3/2", "min_i (vartheta_i - theta_i) >= 1.5",
+            gap, gap >= 1.5, fmt(vartheta))
+        # the per-agent bounds are listed only when every theta is certified
+        coupling("theta_i + ||Ltil*Fm||^2/2 + 1", fm_bound,
+                 [] if np.isnan(theta).any() else fm_bound, "theta_i + ||Ltil Fm||^2/2 + 1")
+        row("solvability: min Re eig(Ltil*Cm) > 1", "min_i min Re eig(Ltil_i Cm_i) > 1",
+            min_lc.min(), min_lc.min() > 1.0, fmt(min_lc))
     return ConditionReport(checks=checks)
 
 
@@ -474,5 +348,20 @@ def build_gain_set(spec: GainSpec, agents: list, regs: list) -> GainSet:
                 if M.shape != shape:
                     raise SynthesisError(f"{name}[{i}] has shape {M.shape}, expected {shape}")
 
+    def certificates(mats) -> tuple[list, list]:
+        # (P, rate) per loop matrix; None where the matrix is not Hurwitz
+        Ps, rates = [], []
+        for M in mats:
+            try:
+                P, rate = certify_rate(M)
+            except SynthesisError:
+                P, rate = None, None
+            Ps.append(P)
+            rates.append(rate)
+        return Ps, rates
+
     gains = GainSet(psi=float(spec.psi), Kbar=kbar, Ktil=ktil, K=kk, L=ll, Ltil=ltil)
-    return attach_rate_certificates(gains, agents)
+    gains.P_K, gains.theta = certificates(a.B @ K for a, K in zip(agents, kk))
+    if ltil is not None:
+        gains.P_L, gains.vartheta = certificates(-(Lt @ a.Cm) for a, Lt in zip(agents, ltil))
+    return gains

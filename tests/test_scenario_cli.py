@@ -52,6 +52,10 @@ class TestLoadScenario:
         with pytest.raises(FileNotFoundError):
             load_scenario("does_not_exist")
 
+    def test_legacy_min_dt_key_is_ignored(self, example1_doc):
+        example1_doc["sim"]["min_dt"] = 1e-12
+        assert scenario_from_dict(example1_doc).sim_config.dt == 1e-4
+
     def test_wrong_shape_names_field(self, example1_doc):
         example1_doc["agents"][0]["B"] = {"shape": [2, 3], "data": [1, 2, 3, 4, 5, 6]}
         with pytest.raises(ScenarioError, match=r"agents\[0\]"):
@@ -96,7 +100,7 @@ class TestRoundTrip:
         path = tmp_path / "echo.yaml"
         write_scenario(s, path)
         s2 = load_scenario(path)
-        assert s.equals(s2)
+        assert scenario_to_dict(s) == scenario_to_dict(s2)
 
     def test_round_trip_example2(self, tmp_path):
         with pytest.warns(UserWarning):
@@ -105,13 +109,13 @@ class TestRoundTrip:
         write_scenario(s, path)
         with pytest.warns(UserWarning):
             s2 = load_scenario(path)
-        assert s.equals(s2)
+        assert scenario_to_dict(s) == scenario_to_dict(s2)
 
     def test_dict_round_trip_preserves_gain_spec(self):
         s = load_scenario("example1_rlc")
         doc = scenario_to_dict(s)
         s2 = scenario_from_dict(doc)
-        assert s.equals(s2)
+        assert scenario_to_dict(s) == scenario_to_dict(s2)
 
 
 class TestCli:
@@ -180,12 +184,34 @@ class TestCli:
         assert "schema:" in capsys.readouterr().err
 
     @pytest.mark.parametrize("flag, value", [("--dt", "-1"), ("--dt", "0"),
-                                             ("--T", "-1"), ("--mu-cap", "0.01")])
+                                             ("--T", "-1"), ("--mu-cap", "0.01"),
+                                             ("--tol-abs", "-1"), ("--tol-rel", "-1"),
+                                             ("--tol-abs", "nan"), ("--tol-rel", "inf")])
     def test_bad_override_is_schema_error(self, tmp_path, capsys, flag, value):
         rc = main(["certify", "example1_rlc", flag, value, "--out", str(tmp_path)])
         err = capsys.readouterr().err
         assert rc == 2
         assert err.startswith("schema:") and f"{flag} {value}" in err
+        assert not list(tmp_path.glob("*.csv"))  # rejected before integrating
+
+    @pytest.mark.parametrize("keys, value, field", [
+        (("gains", "psi"), "abc", "gains.psi"),
+        (("gains", "mbar_K"), "x", "gains.mbar_K"),
+        (("agents", 0, "copies"), "x", "agents[0].copies"),
+        (("agents", 0, "copies"), 0, "agents[0].copies"),
+        (("agents", 0, "A", "shape"), ["a", 2], "agents[0].A.shape"),
+    ])
+    def test_bad_value_is_schema_error(self, example1_doc, tmp_path, capsys, keys, value, field):
+        node = example1_doc
+        for key in keys[:-1]:
+            node = node[key]
+        node[keys[-1]] = value
+        path = tmp_path / "bad.yaml"
+        path.write_text(yaml.safe_dump(example1_doc), encoding="utf-8")
+        rc = main(["check", str(path)])
+        err = capsys.readouterr().err
+        assert rc == 2
+        assert err.startswith("schema:") and f"{field}:" in err
 
     def test_inconsistent_feedforward(self, tmp_path, capsys):
         scenario = load_scenario("example1_rlc")

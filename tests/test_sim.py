@@ -373,7 +373,7 @@ class TestIntegrate:
         pre = traj.t < 2.0 - 1e-9
         gaps = np.diff(traj.t[pre])
         mus = traj.mu[pre][:-1]
-        assert (gaps <= np.maximum(cfg.guard / mus, cfg.min_dt) + 1e-12).all()
+        assert (gaps <= cfg.guard / mus + 1e-12).all()
 
 
 class TestTrajectoryCsv:
@@ -395,6 +395,30 @@ class TestTrajectoryCsv:
         path = tmp_path / "empty_run.csv"
         path.write_text(", ".join(CSV_FIXED_COLUMNS + ["e_1_1"]) + "\n")
         with pytest.raises(ValueError, match="empty_run.csv"):
+            Trajectory.from_csv(path)
+
+    def test_row_format(self, tmp_path):
+        traj = Trajectory(
+            mode="state_fb", t=np.array([0.0, 0.1]), mu=np.array([0.5, 1 / 3]),
+            e=np.array([[1e-20, -2.0], [0.25, 1 / 7]]), e_norm=np.array([2.0, 0.5]),
+            v_tilde_norm=np.array([1.0, 2.0]), x_bar_norm=np.array([3.0, 4.0]),
+            x_tilde_norm=None, u_tilde_norm=np.array([5.0, 6.0]),
+            phi={1: np.array([7.0, 8.0]), 2: np.array([9.0, 10.0]), 3: None, 4: None},
+            output_dims=[2])
+        path = tmp_path / "run.csv"
+        traj.to_csv(path)
+        assert path.read_text(encoding="utf-8").splitlines() == [
+            ", ".join(CSV_FIXED_COLUMNS + ["e_1_1", "e_1_2"]),
+            "0, 0.5, 2, 1, 3, , 5, 7, 9, , , 1e-20, -2",
+            "0.1, 0.333333333333333, 0.5, 2, 4, , 6, 8, 10, , , 0.25, 0.142857142857143",
+        ]
+
+    def test_partly_empty_column_rejected(self, tmp_path):
+        path = tmp_path / "run.csv"
+        path.write_text(", ".join(CSV_FIXED_COLUMNS) + "\n"
+                        "0, 1, 1, 1, 1, 1, 1, , , , \n"
+                        "1, 1, 1, 1, 1, , 1, , , , \n")
+        with pytest.raises(ValueError):
             Trajectory.from_csv(path)
 
     def test_header_format(self, tmp_path, rlc_model):

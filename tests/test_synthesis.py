@@ -1,3 +1,7 @@
+import warnings
+from dataclasses import replace
+from pathlib import Path
+
 import numpy as np
 import pytest
 import scipy.linalg
@@ -6,6 +10,8 @@ from hypothesis import strategies as st
 
 from ptcor.graph import network_from_edges, observer_rate, partition_laplacian
 from ptcor.plant import solve_regulator
+from ptcor.scenario import load_scenario
+from ptcor.sim import compile_model
 from ptcor.synthesis import (
     CascadeRates,
     GainSpec,
@@ -185,21 +191,26 @@ def chain_setup(psi=8.0, mbar_K=3.0, mbar_L=4.0, n_agents=6):
     return agents, exo, regs, rates, gains
 
 
+def by_name(report) -> dict:
+    return {c.name: c for c in report.checks}
+
+
 class TestVerifyGains:
     def test_rlc_state_feedback(self):
         agents, exo, regs, rates, gains = chain_setup()
-        report = verify_gains("state_fb", gains, rates, agents, exo, regs)
-        assert report.by_name("state loop: theta_i > 1").passed
-        assert report.by_name("state loop: theta_i > 1").measured == pytest.approx(3.0, abs=1e-9)
-        coupling = report.by_name("coupling: psi*rho_H >= theta_i + 1")
+        report = verify_gains("state_fb", gains, rates, agents, regs)
+        checks = by_name(report)
+        assert checks["state loop: theta_i > 1"].passed
+        assert checks["state loop: theta_i > 1"].measured == pytest.approx(3.0, abs=1e-9)
+        coupling = checks["coupling: psi*rho_H >= theta_i + 1"]
         assert coupling.measured == pytest.approx(8.0 * rates.rho_H, rel=1e-12)
         assert coupling.passed == (8.0 * rates.rho_H >= 4.0)
         assert not report.has_errors()
 
     def test_rlc_output_feedback_reports_cascade_gap_warning(self):
         agents, exo, regs, rates, gains = chain_setup()
-        report = verify_gains("output_fb", gains, rates, agents, exo, regs)
-        gap = report.by_name("cascade: vartheta_i >= theta_i + 3/2")
+        report = verify_gains("output_fb", gains, rates, agents, regs)
+        gap = by_name(report)["cascade: vartheta_i >= theta_i + 3/2"]
         # vartheta = 4, theta = 3: gap 1 < 1.5 is flagged, severity warning
         assert gap.measured == pytest.approx(1.0, abs=1e-9)
         assert not gap.passed
@@ -208,21 +219,21 @@ class TestVerifyGains:
 
     def test_zero_psi_flags_coupling(self):
         agents, exo, regs, rates, gains = chain_setup(psi=1e-9)
-        report = verify_gains("state_fb", gains, rates, agents, exo, regs)
-        assert not report.by_name("coupling: psi*rho_H >= theta_i + 1").passed
+        report = verify_gains("state_fb", gains, rates, agents, regs)
+        assert not by_name(report)["coupling: psi*rho_H >= theta_i + 1"].passed
 
     def test_inconsistent_feedforward_is_error(self):
         agents, exo, regs, rates, gains = chain_setup()
         gains.Ktil[2] = gains.Ktil[2] + 0.01
-        report = verify_gains("state_fb", gains, rates, agents, exo, regs)
-        line = report.by_name("feedforward: Ktil = U - Kbar*X")
+        report = verify_gains("state_fb", gains, rates, agents, regs)
+        line = by_name(report)["feedforward: Ktil = U - Kbar*X"]
         assert not line.passed
         assert line.severity == "error"
         assert report.has_errors()
 
     def test_every_inequality_appears_exactly_once(self):
         agents, exo, regs, rates, gains = chain_setup()
-        report = verify_gains("output_fb", gains, rates, agents, exo, regs)
+        report = verify_gains("output_fb", gains, rates, agents, regs)
         names = [c.name for c in report.checks]
         assert len(names) == len(set(names)) == 10
 
@@ -236,14 +247,39 @@ class TestVerifyGains:
         assert rates.rho_H == pytest.approx(1.0, abs=1e-12)
         spec = GainSpec(psi=4.0, Kbar=np.zeros((2, 2)), mbar_K=3.0)
         gains = build_gain_set(spec, agents, regs)
-        ok_report = verify_gains("state_fb", gains, rates, agents, exo, regs)
+        ok_report = verify_gains("state_fb", gains, rates, agents, regs)
         assert all(c.passed for c in ok_report.checks)
 
         gains.psi = 3.99
-        bad_report = verify_gains("state_fb", gains, rates, agents, exo, regs)
+        bad_report = verify_gains("state_fb", gains, rates, agents, regs)
         flipped = [c.name for a, c in zip(ok_report.checks, bad_report.checks)
                    if a.passed != c.passed]
         assert flipped == ["coupling: psi*rho_H >= theta_i + 1"]
+
+
+class TestConditionText:
+    """The full condition table, against text recorded before it became table-driven."""
+
+    @pytest.mark.parametrize("name, mode, drop_theta", [
+        ("example1_rlc", "state_fb", False), ("example1_rlc", "output_fb", False),
+        ("example2_ccvsi", "state_fb", False), ("example2_ccvsi", "output_fb", False),
+        ("example1_rlc", "output_fb", True),
+    ])
+    def test_matches_recorded_text(self, name, mode, drop_theta):
+        with warnings.catch_warnings():
+            warnings.simplefilter("ignore")  # example2's exosystem is deliberately unstable
+            scenario = load_scenario(name)
+        model = compile_model(scenario)
+        gains = model.gains
+        if drop_theta:
+            # a zero K for the last agent leaves B K singular: no theta certificate
+            K = list(gains.K[:-1]) + [np.zeros_like(gains.K[-1])]
+            gains = build_gain_set(replace(scenario.gain_spec, K=K), scenario.agents, model.regs)
+            assert gains.theta[-1] is None
+        rates = observer_rate(partition_laplacian(scenario.network))
+        text = verify_gains(mode, gains, rates, scenario.agents, model.regs).to_text()
+        expected = Path(__file__).parent / "expected" / f"{name}_{mode}{'_no_theta' * drop_theta}.txt"
+        assert text + "\n" == expected.read_text(encoding="utf-8")
 
 
 class TestBuildGainSet:
