@@ -40,7 +40,8 @@ under ``ptcor/scenarios/`` for complete examples):
 
 Matrices always declare their shape next to row-major data; a mismatch is
 rejected with the offending field path, which catches silent transposition
-at the source.
+at the source.  A key outside this layout is rejected with its path as
+well, except ``sim.min_dt``, a retired step floor that is read and ignored.
 """
 
 from __future__ import annotations
@@ -58,6 +59,7 @@ from .sim import BaselineConstants, MuSchedule, SimConfig
 from .synthesis import GainSpec
 
 BUNDLED = ("example1_rlc", "example2_ccvsi")
+AGENT_MATRICES = ("A", "B", "E", "C", "D", "F", "Cm", "Dm", "Fm")
 
 
 class ScenarioError(ValueError):
@@ -84,6 +86,14 @@ class Scenario:
     xhat_init: list
 
 
+def _known(node: dict, keys: tuple, path: str, issues: list) -> None:
+    """Record each key of `node` outside `keys` as an issue at its path.
+
+    A misspelt field would otherwise load silently with its default.
+    """
+    issues.extend(f"{path}{key}: unknown key" for key in node if key not in keys)
+
+
 def _number(node, path: str, issues: list, kind=float):
     """`kind(node)`, or None after recording an issue at `path`."""
     try:
@@ -97,6 +107,7 @@ def _parse_matrix(node, path: str, issues: list) -> np.ndarray | None:
     if not isinstance(node, dict) or "shape" not in node or "data" not in node:
         issues.append(f"{path}: expected a matrix as {{shape: [r, c], data: [row-major ...]}}")
         return None
+    _known(node, ("shape", "data"), f"{path}.", issues)
     shape = node["shape"]
     data = node["data"]
     try:
@@ -164,6 +175,7 @@ def scenario_from_dict(doc: dict, name_fallback: str = "scenario") -> Scenario:
     issues: list[str] = []
     if not isinstance(doc, dict):
         raise ScenarioError(["document root must be a mapping"])
+    _known(doc, ("name", "graph", "exosystem", "agents", "gains", "mu", "sim", "initial"), "", issues)
     name = str(doc.get("name", name_fallback))
 
     g = doc.get("graph")
@@ -171,6 +183,7 @@ def scenario_from_dict(doc: dict, name_fallback: str = "scenario") -> Scenario:
     if not isinstance(g, dict) or "followers" not in g or "edges" not in g:
         issues.append("graph: expected {followers: N, edges: [[from, to, weight], ...]}")
     else:
+        _known(g, ("followers", "edges"), "graph.", issues)
         try:
             network = network_from_edges(int(g["followers"]), g["edges"])
         except (ValueError, TypeError) as exc:
@@ -182,6 +195,7 @@ def scenario_from_dict(doc: dict, name_fallback: str = "scenario") -> Scenario:
     if not isinstance(ex, dict):
         issues.append("exosystem: missing section")
     else:
+        _known(ex, ("S0", "v0"), "exosystem.", issues)
         S0 = _parse_matrix(ex.get("S0"), "exosystem.S0", issues)
         if S0 is not None:
             v0 = _parse_vector(ex.get("v0"), S0.shape[0], "exosystem.v0", issues)
@@ -200,11 +214,12 @@ def scenario_from_dict(doc: dict, name_fallback: str = "scenario") -> Scenario:
         if not isinstance(entry, dict):
             issues.append(f"agents[{k}]: expected a mapping of matrices")
             continue
+        _known(entry, ("copies",) + AGENT_MATRICES, f"agents[{k}].", issues)
         copies = _number(entry.get("copies", 1), f"agents[{k}].copies", issues, int)
         if copies is not None and copies < 1:
             issues.append(f"agents[{k}].copies: expected at least 1, got {copies}")
         mats = {}
-        for f in ("A", "B", "E", "C", "D", "F", "Cm", "Dm", "Fm"):
+        for f in AGENT_MATRICES:
             if f not in entry:
                 issues.append(f"agents[{k}].{f}: missing required matrix")
                 mats = None
@@ -234,6 +249,7 @@ def scenario_from_dict(doc: dict, name_fallback: str = "scenario") -> Scenario:
     if not isinstance(gn, dict) or "psi" not in gn:
         issues.append("gains: expected a section with at least psi")
     else:
+        _known(gn, ("psi", "Kbar", "Ktil", "K", "L", "Ltil", "mbar_K", "mbar_L"), "gains.", issues)
         gain_spec = GainSpec(
             psi=_number(gn["psi"], "gains.psi", issues),
             Kbar=_gain_entry(gn.get("Kbar"), "gains.Kbar", issues),
@@ -250,6 +266,7 @@ def scenario_from_dict(doc: dict, name_fallback: str = "scenario") -> Scenario:
     if not isinstance(mu_node, dict) or "T" not in mu_node:
         issues.append("mu: expected a section with at least T")
     else:
+        _known(mu_node, ("T", "t0", "a", "cap"), "mu.", issues)
         try:
             sched = MuSchedule(
                 T=float(mu_node["T"]),
@@ -265,7 +282,14 @@ def scenario_from_dict(doc: dict, name_fallback: str = "scenario") -> Scenario:
     if not isinstance(sim_node, dict):
         issues.append("sim: expected a mapping")
     else:
+        # min_dt is accepted and ignored: the step floor it set is gone, older files still carry it
+        _known(sim_node, ("mode", "dt", "guard", "duration", "stride", "baseline_constants", "min_dt"),
+               "sim.", issues)
         bc = sim_node.get("baseline_constants", {}) or {}
+        if not isinstance(bc, dict):
+            issues.append("sim.baseline_constants: expected a mapping")
+            bc = {}
+        _known(bc, ("c1", "c2", "c3", "c4"), "sim.baseline_constants.", issues)
         try:
             cfg = SimConfig(
                 mode=str(sim_node.get("mode", "output_fb")),
@@ -282,6 +306,10 @@ def scenario_from_dict(doc: dict, name_fallback: str = "scenario") -> Scenario:
             issues.append(f"sim: {exc}")
 
     init = doc.get("initial", {}) or {}
+    if not isinstance(init, dict):
+        issues.append("initial: expected a mapping")
+        init = {}
+    _known(init, ("x", "v", "xhat"), "initial.", issues)
     x_init = v_list = xhat_init = None
     if agents and exo is not None:
         dims_x = [a.n for a in agents]
@@ -349,7 +377,7 @@ def scenario_to_dict(s: Scenario) -> dict:
         "graph": {"followers": s.network.n_followers, "edges": edges},
         "exosystem": {"S0": _matrix_dict(s.exo.S0), "v0": [float(v) for v in s.exo.v0_init]},
         "agents": [
-            {f: _matrix_dict(getattr(a, f)) for f in ("A", "B", "E", "C", "D", "F", "Cm", "Dm", "Fm")}
+            {f: _matrix_dict(getattr(a, f)) for f in AGENT_MATRICES}
             for a in s.agents
         ],
         "gains": gains,

@@ -31,15 +31,23 @@ The RK4 loop keeps only the sampled (t, y); every recorded column is derived
 afterwards from the stacked samples with a few matrix products, and the raw
 samples stay available as `Trajectory.y`.
 
-The stepper is classic explicit RK4 with the pre-horizon step size shrunk
-proportionally to 1/mu: ``dt_eff = min(dt, guard/mu)``.  That keeps the
-stiffest closed-loop eigenvalue times the step bounded by ``guard`` times
-a gain-dependent constant, inside the RK4 stability region for the
-default guard.
+The stepper is classic explicit RK4 on one step grid: steps of ``dt``,
+shrunk before the horizon to ``min(dt, guard/mu)`` (which keeps the
+stiffest eigenvalue times the step inside the RK4 stability region for the
+default guard) and clipped to land on the clamp, the horizon and the end.
+Runs of full ``dt`` steps go through precomputed maps: where the loop is LTI
+(past the horizon, and the whole asymptotic baseline) a step is y <- R y with
+R = I + hA + (hA)^2/2 + (hA)^3/6 + (hA)^4/24 built once (Moler & Van Loan,
+SIAM Review 2003); before the horizon the four stages keep the scalar step's
+arithmetic, one product each with the stacked [M0; M1], with their gains from
+one vectorized ``mu`` call.  Guard-shrunk and clipped steps and the fixed-time
+relay take the scalar step.  Every step of the grid is taken and
+escape-checked, so samples fall at the same times whichever path ran.
 """
 
 from __future__ import annotations
 
+import math
 import warnings
 from dataclasses import dataclass, field
 
@@ -55,6 +63,7 @@ ESCAPE_NORM = 1e9
 # same instant.  Anything wider lets a run stop where accumulated steps fall
 # short of a boundary, before the clipped step that lands on it.
 TIME_RTOL = 1e-15
+LOOKAHEAD = 1024  # full dt steps planned at a time; no array grows with a phase
 
 MODES = ("state_fb", "output_fb", "baseline_asymptotic", "baseline_fixed_time")
 PTCOR_MODES = ("state_fb", "output_fb")
@@ -75,14 +84,16 @@ class MuSchedule:
     mu_cap: float = 1e6
 
     def __post_init__(self):
-        if self.T <= 0:
-            raise ValueError(f"T must be positive, got {self.T}")
+        if not (math.isfinite(self.T) and self.T > 0):
+            raise ValueError(f"T must be finite and positive, got {self.T}")
+        if not math.isfinite(self.t0):
+            raise ValueError(f"t0 must be finite, got {self.t0}")
         if self.a is None:
             object.__setattr__(self, "a", 1.0 / self.T)
-        if self.a <= 0:
-            raise ValueError(f"a must be positive, got {self.a}")
-        if self.mu_cap < max(self.a, 1.0 / self.T):
-            raise ValueError(f"mu_cap {self.mu_cap} must be >= max(a, 1/T)")
+        if not (math.isfinite(self.a) and self.a > 0):
+            raise ValueError(f"a must be finite and positive, got {self.a}")
+        if not (math.isfinite(self.mu_cap) and self.mu_cap >= max(self.a, 1.0 / self.T)):
+            raise ValueError(f"mu_cap {self.mu_cap} must be finite and >= max(a, 1/T)")
 
     @property
     def horizon(self) -> float:
@@ -95,21 +106,12 @@ class MuSchedule:
 
 
 def mu(s: MuSchedule, t) -> float | np.ndarray:
-    """Evaluate the capped gain schedule; never returns NaN or infinity."""
-    if isinstance(t, (int, float)):
-        if t < s.t0 - 1e-12:
-            raise ValueError(f"mu is undefined before t0 = {s.t0}")
-        if t >= s.horizon:
-            return s.a
-        rem = s.horizon - t
-        return s.mu_cap if rem <= s.eps else 1.0 / rem
+    """Capped gain schedule, one rule for scalars and arrays; never NaN or infinite."""
     tt = np.asarray(t, dtype=float)
     if np.any(tt < s.t0 - 1e-12):
         raise ValueError(f"mu is undefined before t0 = {s.t0}")
     rem = s.horizon - tt
-    safe = np.maximum(rem, s.eps)
-    pre = np.minimum(1.0 / safe, s.mu_cap)
-    out = np.where(tt < s.horizon, pre, s.a)
+    out = np.where(rem <= 0, s.a, np.where(rem <= s.eps, s.mu_cap, 1.0 / np.maximum(rem, s.eps)))
     return out if tt.ndim else float(out)
 
 
@@ -143,10 +145,10 @@ class SimConfig:
     def __post_init__(self):
         if self.mode not in MODES:
             raise ValueError(f"mode must be one of {MODES}, got {self.mode!r}")
-        if not self.dt > 0:
-            raise ValueError(f"dt must be positive, got {self.dt}")
-        if self.guard <= 0:
-            raise ValueError(f"guard must be positive, got {self.guard}")
+        for name in ("dt", "guard", "duration"):
+            value = getattr(self, name)
+            if not (math.isfinite(value) and value > 0):
+                raise ValueError(f"{name} must be finite and positive, got {value}")
         if self.stride < 1:
             raise ValueError(f"stride must be >= 1, got {self.stride}")
 
@@ -306,9 +308,8 @@ def compile_model(scenario) -> ClosedLoopModel:
                            gains, regs, scenario.mu_schedule)
 
 
-def _place(shape: tuple, blocks: list) -> np.ndarray:
-    """Zero matrix of `shape` with each (rows, cols, block) written in order."""
-    out = np.zeros(shape)
+def _place(out: np.ndarray, blocks: list) -> np.ndarray:
+    """`out` with each (rows, cols, block) written in order."""
     for rows, cols, blk in blocks:
         out[rows, cols] = blk
     return out
@@ -365,24 +366,26 @@ class _Operator:
             M0.append((vt, vt, m.S0_blk - g.psi * m.Hq))
         elif mode == "baseline_fixed_time":
             M0.append((vt, vt, m.S0_blk - constants.c1 * m.Hq))
-        self.M0 = _place((dim, dim), M0)
-        self.M1 = _place((dim, dim), M1) if self.guarded else None
+        # M0 and M1 are views into one (2 dim, dim) array, so a stage is one product
+        self.dim, self.M01 = dim, np.zeros((2 * dim if self.guarded else dim, dim))
+        self.M0 = _place(self.M01[:dim], M0)
+        self.M1 = _place(self.M01[dim:], M1) if self.guarded else None
 
         mt, pm = len(m.K_blk), len(m.Cm_blk)
-        self.U0 = _place((mt, dim), U0)
-        self.U1 = _place((mt, dim), U1) if self.guarded else None
-        self.E0 = _place((len(m.C_blk), dim), [(row, xb, m.C_blk)]) + m.D_blk @ self.U0
+        self.U0 = _place(np.zeros((mt, dim)), U0)
+        self.U1 = _place(np.zeros((mt, dim)), U1) if self.guarded else None
+        self.E0 = _place(np.zeros((len(m.C_blk), dim)), [(row, xb, m.C_blk)]) + m.D_blk @ self.U0
         self.E1 = None if self.U1 is None else m.D_blk @ self.U1
-        self.chi = _place((N * q, dim), [(row, vt, -m.Hq)])
-        self.track = _place((nx, dim), track)
-        self.innov = _place((pm, dim), [(row, xt, -m.Cm_blk), (row, vt, -m.Fm_blk)]) \
+        self.chi = _place(np.zeros((N * q, dim)), [(row, vt, -m.Hq)])
+        self.track = _place(np.zeros((nx, dim)), track)
+        self.innov = _place(np.zeros((pm, dim)), [(row, xt, -m.Cm_blk), (row, vt, -m.Fm_blk)]) \
             if observer else None
 
         self.W = self.G = None
         if mode == "baseline_fixed_time":
             c, nc = constants, N * q
             self.W = np.vstack([self.chi, self.track, self.innov])
-            self.G = _place((dim, nc + nx + pm), [
+            self.G = _place(np.zeros((dim, nc + nx + pm)), [
                 (vt, slice(0, nc), np.eye(nc)), (xb, slice(nc, nc + nx), BK),
                 (xt, slice(nc + nx, None), m.Ltil_blk)])
             self.a = np.r_[np.full(nc, c.c2), np.ones(nx + pm)]
@@ -401,15 +404,31 @@ class _Operator:
 
     def rhs(self, t: float, y: np.ndarray) -> np.ndarray:
         if self.M1 is not None:
-            return self.M0 @ y + mu(self.schedule, t) * (self.M1 @ y)
+            return self.stage(mu(self.schedule, t), y)
         if self.W is None:
             return self.M0 @ y
         z = self.W @ y
         return self.M0 @ y + self.G @ (self.a * np.sign(z) + self.b * sig(z, self.c4))
 
+    def stage(self, gain: float, y: np.ndarray) -> np.ndarray:
+        """(M0 + gain M1) y of a prescribed-time mode, from one stacked product."""
+        z = np.dot(self.M01, y)
+        return gain * z[self.dim:] + z[:self.dim]
+
+    def step_map(self, h: float) -> np.ndarray:
+        """R with y <- R y one RK4 step of h on the LTI loop from the horizon on."""
+        # Horner's rule, I + hA(I + hA/2(I + hA/3(I + hA/4))), a block of
+        # columns at a time, so that R is the only full-size array
+        R = np.eye(self.dim)
+        for X in np.hsplit(R, range(32, self.dim, 32)):  # views into R
+            eye = X.copy()
+            for k in (4.0, 3.0, 2.0, 1.0):
+                X[...] = (h / k) * self.rhs(self.schedule.horizon, X) + eye
+        return R
+
     def signals(self, t: np.ndarray, Y: np.ndarray) -> dict:
         """Every recorded column of the samples `Y` (S x dim) taken at times `t`."""
-        mus = np.array([mu(self.schedule, ti) for ti in t])
+        mus = mu(self.schedule, t)
 
         def scheduled(M0, M1) -> np.ndarray:
             out = Y @ M0.T
@@ -448,7 +467,8 @@ def _drive(op: _Operator, y0: np.ndarray, schedule: MuSchedule, cfg: SimConfig):
     t = schedule.t0
     horizon = schedule.horizon
     clamp_t = horizon - schedule.eps
-    rhs = op.rhs
+    dt, R = cfg.dt, None
+    chunk = np.empty((min(cfg.stride, LOOKAHEAD), op.dim))
 
     def near(a, b):
         return abs(a - b) <= TIME_RTOL * max(1.0, abs(a))
@@ -458,31 +478,70 @@ def _drive(op: _Operator, y0: np.ndarray, schedule: MuSchedule, cfg: SimConfig):
             ts.append(t_)
             ys.append(y_)
 
+    def rk4(f, y_, h, a, b, c):
+        """One RK4 step of h whose four stage slopes are f(a, .), f(b, .), f(b, .), f(c, .)."""
+        k1 = f(a, y_)
+        k2 = f(b, 0.5 * h * k1 + y_)
+        k3 = f(b, 0.5 * h * k2 + y_)
+        k4 = f(c, h * k3 + y_)
+        return (h / 6.0) * (k1 + (k2 + k2) + (k3 + k3) + k4) + y_
+
+    def full_steps(boundary, pre):
+        """t, then the time after each leading step that the scalar loop would take at dt."""
+        tk = np.add.accumulate(np.r_[t, np.full(LOOKAHEAD, dt)])  # the sums of t = t + h
+        nxt = tk[1:]  # a step neither passes nor lands near() its boundary, nor does the guard bind
+        ok = (nxt <= boundary) & (np.abs(nxt - boundary) > TIME_RTOL * np.maximum(1.0, np.abs(nxt)))
+        if pre:
+            ok &= dt <= cfg.guard / mu(schedule, tk[:-1])
+        return tk[:1 + (LOOKAHEAD if ok.all() else int(ok.argmin()))]
+
+    def escape(t_):
+        diag = f"finite-escape detected at t = {t_:.9g} (state norm > {ESCAPE_NORM:g})"
+        return np.array(ts), np.vstack(ys), True, t_, diag
+
     record(t, y)
     steps = 0
     while t < cfg.duration and not near(t, cfg.duration):
-        if op.guarded and t < clamp_t:
-            h = min(cfg.dt, cfg.guard / mu(schedule, t))
+        pre = op.guarded and t < clamp_t
+        if pre:
             boundary = min(clamp_t, cfg.duration)
         else:
-            h = cfg.dt
             past = t >= horizon or near(t, horizon)
             boundary = cfg.duration if past else min(horizon, cfg.duration)
+        lti = not pre and op.W is None and (op.M1 is None or t >= horizon)
+        tk = full_steps(boundary, pre) if pre or lti else [t]
+        n, done = len(tk) - 1, 0
+        if n:
+            if pre:  # mu at t, t + h and t + h/2 of every step
+                g = mu(schedule, np.r_[tk, tk[:-1] + 0.5 * dt]).tolist()
+            elif R is None:
+                R = op.step_map(dt)
+            with np.errstate(over="ignore", invalid="ignore"):
+                while done < n:
+                    # up to the next recorded step; escape-checked once per chunk
+                    m = min(n - done, cfg.stride - steps % cfg.stride, len(chunk))
+                    for i in range(done, done + m):
+                        y = rk4(op.stage, y, dt, g[i], g[n + 1 + i], g[i + 1]) if pre else np.dot(R, y)
+                        chunk[i - done] = y
+                    rows = np.abs(chunk[:m]).max(axis=1)
+                    if not rows.max() <= ESCAPE_NORM:
+                        return escape(float(tk[done + 1 + int(np.argmin(rows <= ESCAPE_NORM))]))
+                    done, steps = done + m, steps + m
+                    t = float(tk[done])
+                    if steps % cfg.stride == 0:
+                        record(t, y)
+            continue
+        h = min(dt, cfg.guard / mu(schedule, t)) if pre else dt
         if t + h > boundary or near(t + h, boundary):
             h = boundary - t
         if h <= 0:
             break
-        k1 = rhs(t, y)
-        k2 = rhs(t + 0.5 * h, y + 0.5 * h * k1)
-        k3 = rhs(t + 0.5 * h, y + 0.5 * h * k2)
-        k4 = rhs(t + h, y + h * k3)
-        y = y + (h / 6.0) * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
+        y = rk4(op.rhs, y, h, t, t + 0.5 * h, t + h)
         t = t + h
         steps += 1
         # NaN fails the comparison, so one pass catches non-finite and escaped states
         if not float(np.abs(y).max()) <= ESCAPE_NORM:
-            diag = f"finite-escape detected at t = {t:.9g} (state norm > {ESCAPE_NORM:g})"
-            return np.array(ts), np.vstack(ys), True, t, diag
+            return escape(t)
         at_clamp = op.guarded and near(t, clamp_t) and clamp_t < cfg.duration
         at_boundary = near(t, boundary)
         if steps % cfg.stride == 0 or at_clamp or at_boundary:

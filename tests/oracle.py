@@ -1,10 +1,15 @@
-"""Independent references for the tests: literal closed loops and a Kronecker Lyapunov solve.
+"""Independent references for the tests: literal closed loops, a scalar RK4 driver and a
+Kronecker Lyapunov solve.
 
 The integrator runs every mode in regulation-error coordinates.  The
 functions here write the same loops per agent, straight from the control
 laws, in plant coordinates (leader state v0, observer states v_i, plant
 states x_i, local observer states xhat_i), and map between the two
 coordinate systems, so the tests can compare both routes.
+
+`drive` is the integrator loop that takes every step as four right-hand-side
+calls; `ptcor.sim._drive` replaces most of those steps with precomputed maps
+and must land on the same times.
 
 `solve_lyapunov` solves P M + M^T P = Q through the dense (n^2, n^2)
 Kronecker system, a route that shares nothing with the Bartels-Stewart
@@ -17,7 +22,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from ptcor.sim import BaselineConstants, ClosedLoopModel, mu, sig
+from ptcor.sim import (ESCAPE_NORM, TIME_RTOL, BaselineConstants, ClosedLoopModel, MuSchedule,
+                       SimConfig, mu, sig)
 
 BASELINE_KINDS = ("asymptotic", "fixed_time")
 
@@ -146,6 +152,69 @@ def rhs_baseline(state: ClosedLoopState, t: float, model: ClosedLoopModel, kind:
         dx.append(agent.A @ x[i] + agent.B @ u_i + agent.E @ v0)
     _check_finite([dv0, dv] + dx + dxh, t)
     return ClosedLoopState(v0=dv0, v=dv, x=dx, xhat=dxh)
+
+
+# -- reference integrator ----------------------------------------------------------
+
+
+def drive(op, y0: np.ndarray, schedule: MuSchedule, cfg: SimConfig):
+    """Reference RK4 driver: four `op.rhs` calls per step, every step scalar.
+
+    Returns (times, samples, escaped, escape_time, diagnostic), like
+    `ptcor.sim._drive`, which must take the same steps at the same times.
+    """
+    ts, ys = [], []
+    y = y0.copy()
+    t = schedule.t0
+    horizon = schedule.horizon
+    clamp_t = horizon - schedule.eps
+    rhs = op.rhs
+
+    def near(a, b):
+        return abs(a - b) <= TIME_RTOL * max(1.0, abs(a))
+
+    def record(t_, y_):
+        if not ts or not near(t_, ts[-1]):
+            ts.append(t_)
+            ys.append(y_)
+
+    record(t, y)
+    steps = 0
+    while t < cfg.duration and not near(t, cfg.duration):
+        if op.guarded and t < clamp_t:
+            h = min(cfg.dt, cfg.guard / mu(schedule, t))
+            boundary = min(clamp_t, cfg.duration)
+        else:
+            h = cfg.dt
+            past = t >= horizon or near(t, horizon)
+            boundary = cfg.duration if past else min(horizon, cfg.duration)
+        if t + h > boundary or near(t + h, boundary):
+            h = boundary - t
+        if h <= 0:
+            break
+        k1 = rhs(t, y)
+        k2 = rhs(t + 0.5 * h, y + 0.5 * h * k1)
+        k3 = rhs(t + 0.5 * h, y + 0.5 * h * k2)
+        k4 = rhs(t + h, y + h * k3)
+        y = y + (h / 6.0) * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
+        t = t + h
+        steps += 1
+        # NaN fails the comparison, so one pass catches non-finite and escaped states
+        if not float(np.abs(y).max()) <= ESCAPE_NORM:
+            diag = f"finite-escape detected at t = {t:.9g} (state norm > {ESCAPE_NORM:g})"
+            return np.array(ts), np.vstack(ys), True, t, diag
+        at_clamp = op.guarded and near(t, clamp_t) and clamp_t < cfg.duration
+        at_boundary = near(t, boundary)
+        if steps % cfg.stride == 0 or at_clamp or at_boundary:
+            record(t, y)
+        if at_clamp:
+            # Jump across the capped sliver [horizon - eps, horizon]; the
+            # post-horizon branch continues from the clamped state.
+            t = horizon
+            if t < cfg.duration and not near(t, cfg.duration):
+                record(t, y)
+    record(t, y)
+    return np.array(ts), np.vstack(ys), False, None, ""
 
 
 # -- plant <-> error coordinates ----------------------------------------------------

@@ -186,7 +186,10 @@ class TestCli:
     @pytest.mark.parametrize("flag, value", [("--dt", "-1"), ("--dt", "0"),
                                              ("--T", "-1"), ("--mu-cap", "0.01"),
                                              ("--tol-abs", "-1"), ("--tol-rel", "-1"),
-                                             ("--tol-abs", "nan"), ("--tol-rel", "inf")])
+                                             ("--tol-abs", "nan"), ("--tol-rel", "inf"),
+                                             ("--dt", "inf"), ("--dt", "nan"), ("--T", "nan"),
+                                             ("--T", "inf"), ("--mu-cap", "nan"),
+                                             ("--mu-cap", "inf")])
     def test_bad_override_is_schema_error(self, tmp_path, capsys, flag, value):
         rc = main(["certify", "example1_rlc", flag, value, "--out", str(tmp_path)])
         err = capsys.readouterr().err
@@ -200,6 +203,18 @@ class TestCli:
         (("agents", 0, "copies"), "x", "agents[0].copies"),
         (("agents", 0, "copies"), 0, "agents[0].copies"),
         (("agents", 0, "A", "shape"), ["a", 2], "agents[0].A.shape"),
+        (("sim", "guard"), float("nan"), "sim"),
+        (("sim", "duration"), float("inf"), "sim"),
+        (("mu", "t0"), float("nan"), "mu"),
+        # a misspelt key would otherwise leave its field at the default
+        (("sim", "dtt"), 1e-3, "sim.dtt"),
+        (("gains", "mbar_k"), 9.0, "gains.mbar_k"),
+        (("agents", 0, "Bm"), 1.0, "agents[0].Bm"),
+        (("agents", 0, "A", "rows"), 2, "agents[0].A.rows"),
+        (("initial", "x0"), 0.0, "initial.x0"),
+        (("extra",), 1, "extra"),
+        (("initial",), [1, 2], "initial"),
+        (("sim", "baseline_constants"), [1, 2], "sim.baseline_constants"),
     ])
     def test_bad_value_is_schema_error(self, example1_doc, tmp_path, capsys, keys, value, field):
         node = example1_doc

@@ -1,3 +1,4 @@
+import warnings
 from dataclasses import replace
 
 import numpy as np
@@ -13,6 +14,7 @@ from ptcor.sim import (
     MuSchedule,
     SimConfig,
     Trajectory,
+    _drive,
     _Operator,
     compile_model,
     integrate,
@@ -23,6 +25,7 @@ from ptcor.sim import (
 from ptcor.synthesis import GainSpec, SynthesisError
 from tests.oracle import (
     ClosedLoopState,
+    drive,
     error_coordinates,
     plant_state,
     rhs_baseline,
@@ -69,6 +72,41 @@ class TestMuSchedule:
             MuSchedule(T=-1.0)
         with pytest.raises(ValueError):
             MuSchedule(T=2.0, mu_cap=0.1)
+
+    @pytest.mark.parametrize("field, value", [
+        ("T", np.nan), ("T", np.inf), ("t0", np.nan), ("t0", -np.inf),
+        ("a", np.nan), ("a", np.inf), ("mu_cap", np.nan), ("mu_cap", np.inf)])
+    def test_non_finite_schedule_rejected(self, field, value):
+        with pytest.raises(ValueError, match=field):
+            MuSchedule(**{"T": 2.0, field: value})
+
+    # 1 / (1 / 1e5) rounds below 1e5, so the capped window must return mu_cap itself
+    @pytest.mark.parametrize("cap", [1e5, 1e6])
+    def test_matches_scalar_rule(self, cap):
+        # the branchy scalar rule the array rule replaced
+        def scalar_rule(s, t):
+            if t >= s.horizon:
+                return s.a
+            rem = s.horizon - t
+            return s.mu_cap if rem <= s.eps else 1.0 / rem
+
+        s = MuSchedule(T=2.0, t0=0.5, a=0.3, mu_cap=cap)
+        clamp = s.horizon - s.eps
+        t = np.r_[np.linspace(0.5, 3.0, 1001), clamp, np.nextafter(clamp, 0), np.nextafter(clamp, 3),
+                  s.horizon, np.nextafter(s.horizon, 0), np.nextafter(s.horizon, 3), 1e3]
+        expected = [scalar_rule(s, ti) for ti in t.tolist()]
+        assert mu(s, t).tolist() == expected
+        assert [mu(s, ti) for ti in t.tolist()] == expected
+        assert mu(s, s.horizon - 0.5 * s.eps) == s.mu_cap and mu(s, s.horizon) == s.a
+        assert type(mu(s, 1.0)) is float
+
+
+class TestSimConfig:
+    @pytest.mark.parametrize("field", ["dt", "guard", "duration"])
+    @pytest.mark.parametrize("value", [np.nan, np.inf, 0.0, -1.0])
+    def test_non_finite_or_non_positive_rejected(self, field, value):
+        with pytest.raises(ValueError, match=field):
+            SimConfig(**{field: value})
 
 
 def test_sig_definition():
@@ -434,3 +472,81 @@ class TestTrajectoryCsv:
         first = path.read_text().splitlines()[1].split(",")
         assert first[5].strip() == ""
         assert first[9].strip() == "" and first[10].strip() == ""
+
+
+@pytest.fixture(scope="module")
+def bundled_models():
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore", UserWarning)  # example2's neutrally stable exosystem
+        scenarios = [load_scenario(name) for name in ("example1_rlc", "example2_ccvsi")]
+    return {s.name: (s, compile_model(s)) for s in scenarios}
+
+
+def drive_both(scenario, model, cfg):
+    op = _Operator(model, cfg.mode, cfg.baseline)
+    y0 = op.initial_state(scenario.exo.v0_init, scenario.v_init, scenario.x_init, scenario.xhat_init)
+    return op, _drive(op, y0, scenario.mu_schedule, cfg), drive(op, y0, scenario.mu_schedule, cfg)
+
+
+class TestDriveMatchesOracle:
+    """The step-map driver against the all-scalar reference loop in tests/oracle.py."""
+
+    @pytest.mark.parametrize("mode", MODES)
+    @pytest.mark.parametrize("name", ["example1_rlc", "example2_ccvsi"])
+    def test_same_grid_and_states(self, bundled_models, name, mode):
+        scenario, model = bundled_models[name]
+        cfg = replace(scenario.sim_config, mode=mode, dt=1e-3)
+        op, (t, Y, escaped, _, _), (t_ref, Y_ref, escaped_ref, _, _) = drive_both(scenario, model, cfg)
+        assert np.array_equal(t, t_ref)
+        assert not escaped and not escaped_ref
+        scale = np.abs(Y_ref).max(axis=0)
+        assert (np.abs(Y - Y_ref) <= 1e-10 * scale).all()
+        if op.guarded:
+            # before the horizon the stages keep the scalar step's arithmetic
+            pre = t < scenario.mu_schedule.horizon
+            assert np.array_equal(Y[pre], Y_ref[pre])
+
+    @pytest.mark.parametrize("mode", ["output_fb", "baseline_asymptotic"])
+    def test_step_map_is_the_rk4_step(self, bundled_models, mode):
+        scenario, model = bundled_models["example2_ccvsi"]
+        op = _Operator(model, mode, BaselineConstants())
+        h, t = 1e-3, scenario.mu_schedule.horizon + 1.0  # past the horizon, mu = a
+        eye = np.eye(op.dim)
+        k1 = op.rhs(t, eye)
+        k2 = op.rhs(t + 0.5 * h, eye + 0.5 * h * k1)
+        k3 = op.rhs(t + 0.5 * h, eye + 0.5 * h * k2)
+        k4 = op.rhs(t + h, eye + h * k3)
+        expected = eye + (h / 6.0) * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
+        assert np.abs(op.step_map(h) - expected).max() <= 1e-14
+
+    @pytest.mark.parametrize("mode, kbar, stride", [("state_fb", 3.0, 5), ("output_fb", 10.0, 8)])
+    def test_escape_inside_post_horizon_stretch(self, mode, kbar, stride):
+        # A + B Kbar = kbar - 1 and a K = -0.2 leave the post-horizon loop unstable
+        s = scalar_scenario(mode=mode, duration=30.0)
+        s.gain_spec = replace(s.gain_spec, Kbar=np.array([[kbar]]))
+        s.mu_schedule = MuSchedule(T=1.0, a=0.1)
+        cfg = replace(s.sim_config, stride=stride)
+        _, (t, Y, escaped, t_esc, diag), ref = drive_both(s, compile_model(s), cfg)
+        assert escaped and ref[2]
+        assert t_esc == ref[3] and diag == ref[4]
+        assert np.array_equal(t, ref[0])
+        assert np.abs(Y - ref[1]).max() <= 1e-10 * np.abs(ref[1]).max()
+        if kbar == 3.0:
+            assert t_esc == pytest.approx(26.753) and len(t) == 5369
+        else:  # the escaping step is not the first of its chunk
+            assert t_esc > 1.0 and round((t_esc - t[-1]) / cfg.dt) not in (1, stride)
+
+    @pytest.mark.parametrize("mode", MODES)
+    def test_step_landing_near_a_boundary_is_clipped(self, mode):
+        # ten steps of 0.1 from 0 sum to 1 - 1.1e-16, near() the horizon at 1
+        s = scalar_scenario(mode=mode, duration=2.0)
+        cfg = replace(s.sim_config, dt=0.1, stride=1)
+        _, (t, Y, *_), ref = drive_both(s, compile_model(s), cfg)
+        assert np.array_equal(t, ref[0]) and 1.0 in t.tolist()
+        assert np.abs(Y - ref[1]).max() <= 1e-12 * np.abs(ref[1]).max()
+
+    def test_escape_before_the_horizon(self):
+        s = scalar_scenario(K_gain=2.0, duration=1.5)
+        _, (t, Y, escaped, t_esc, _), ref = drive_both(s, compile_model(s), s.sim_config)
+        assert escaped and ref[2] and t_esc == ref[3]
+        assert np.array_equal(t, ref[0]) and np.array_equal(Y, ref[1])
