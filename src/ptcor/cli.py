@@ -19,7 +19,7 @@ from .analysis import CertifyTolerances, EnvelopeParams, certify, compare_runs
 from .graph import has_leader_spanning_tree, observer_rate, partition_laplacian
 from .plant import RegulatorError, check_full_rank_io, check_regulation_rank
 from .scenario import Scenario, ScenarioError, load_scenario, write_scenario
-from .sim import MuSchedule, compile_model, integrate
+from .sim import MuSchedule, check_step_budget, compile_model, integrate
 from .synthesis import GainSpec, SynthesisError, verify_gains
 
 EXIT_OK = 0
@@ -29,30 +29,22 @@ EXIT_NUMERIC = 4
 
 
 def _apply_overrides(scenario: Scenario, args) -> Scenario:
-    sched = scenario.mu_schedule
-    if getattr(args, "T", None) is not None or getattr(args, "mu_cap", None) is not None:
-        try:
-            sched = MuSchedule(
-                T=args.T if args.T is not None else sched.T,
-                t0=sched.t0,
-                a=None if args.T is not None else sched.a,
-                mu_cap=args.mu_cap if args.mu_cap is not None else sched.mu_cap,
-            )
-        except ValueError as exc:
-            flags = [f"--{name} {value:g}" for name, value in
-                     (("T", args.T), ("mu-cap", args.mu_cap)) if value is not None]
-            raise ScenarioError([f"{' '.join(flags)}: {exc}"]) from exc
-        scenario.mu_schedule = sched
-    changes = {}
-    if getattr(args, "mode", None) is not None:
-        changes["mode"] = args.mode
-    if getattr(args, "dt", None) is not None:
-        changes["dt"] = args.dt
-    if changes:
-        try:
-            scenario.sim_config = replace(scenario.sim_config, **changes)
-        except ValueError as exc:
-            raise ScenarioError([f"--dt {args.dt:g}: {exc}"]) from exc
+    T, mu_cap, dt = (getattr(args, name, None) for name in ("T", "mu_cap", "dt"))
+    flags = " ".join(f"{flag} {value:g}" for flag, value in
+                     (("--T", T), ("--mu-cap", mu_cap), ("--dt", dt)) if value is not None)
+    sched, cfg = scenario.mu_schedule, scenario.sim_config
+    try:
+        if T is not None or mu_cap is not None:
+            sched = MuSchedule(T=sched.T if T is None else T, t0=sched.t0,
+                               a=sched.a if T is None else None,
+                               mu_cap=sched.mu_cap if mu_cap is None else mu_cap)
+        changes = {k: v for k, v in (("mode", getattr(args, "mode", None)), ("dt", dt)) if v is not None}
+        cfg = replace(cfg, **changes)
+        if flags:
+            check_step_budget(sched, cfg)
+    except ValueError as exc:
+        raise ScenarioError([f"{flags}: {exc}"]) from exc
+    scenario.mu_schedule, scenario.sim_config = sched, cfg
     return scenario
 
 

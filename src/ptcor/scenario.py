@@ -55,7 +55,7 @@ import yaml
 
 from .graph import Network, network_from_edges
 from .plant import AgentModel, Exosystem
-from .sim import BaselineConstants, MuSchedule, SimConfig
+from .sim import BaselineConstants, MuSchedule, SimConfig, check_step_budget
 from .synthesis import GainSpec
 
 BUNDLED = ("example1_rlc", "example2_ccvsi")
@@ -304,6 +304,11 @@ def scenario_from_dict(doc: dict, name_fallback: str = "scenario") -> Scenario:
             )
         except (TypeError, ValueError) as exc:
             issues.append(f"sim: {exc}")
+    if sched is not None and cfg is not None:
+        try:
+            check_step_budget(sched, cfg)
+        except ValueError as exc:
+            issues.append(f"sim.{exc}")  # the message leads with the field: dt or guard
 
     init = doc.get("initial", {}) or {}
     if not isinstance(init, dict):

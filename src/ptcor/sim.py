@@ -27,22 +27,20 @@ differencing O(1) states there would drown the recorded signals in
 rounding noise.  The literal plant-coordinate right-hand sides live in the
 test suite (``tests/oracle.py``) as an independent cross-check.
 
-The RK4 loop keeps only the sampled (t, y); every recorded column is derived
-afterwards from the stacked samples with a few matrix products, and the raw
-samples stay available as `Trajectory.y`.
-
-The stepper is classic explicit RK4 on one step grid: steps of ``dt``,
-shrunk before the horizon to ``min(dt, guard/mu)`` (which keeps the
-stiffest eigenvalue times the step inside the RK4 stability region for the
-default guard) and clipped to land on the clamp, the horizon and the end.
-Runs of full ``dt`` steps go through precomputed maps: where the loop is LTI
-(past the horizon, and the whole asymptotic baseline) a step is y <- R y with
-R = I + hA + (hA)^2/2 + (hA)^3/6 + (hA)^4/24 built once (Moler & Van Loan,
-SIAM Review 2003); before the horizon the four stages keep the scalar step's
-arithmetic, one product each with the stacked [M0; M1], with their gains from
-one vectorized ``mu`` call.  Guard-shrunk and clipped steps and the fixed-time
-relay take the scalar step.  Every step of the grid is taken and
-escape-checked, so samples fall at the same times whichever path ran.
+Plan, then step.  `_plan` fixes every step and sample of a run before any
+state exists, from (t0, T, mu_cap, dt, guard, stride, duration) alone: steps
+of ``dt``, shrunk before the horizon to ``min(dt, guard/mu)`` (which keeps
+the stiffest eigenvalue times the step inside the RK4 stability region for
+the default guard) and clipped to land on the clamp, the horizon and the
+end; a sample every ``stride`` steps, at each landing and at the end.
+`_drive` then walks that plan with classic explicit RK4.  A full ``dt`` step
+of an LTI loop (past the horizon, and the whole asymptotic baseline) is
+y <- R y with R = I + hA + (hA)^2/2 + (hA)^3/6 + (hA)^4/24 built once (Moler
+& Van Loan, SIAM Review 2003); every other step is the four-stage RK4 step,
+one product per stage with the stacked [M0; M1] at the planned gains, or the
+baselines' right-hand side.  Each sample interval is escape-checked once,
+step by step.  Only the sampled (t, y) are kept, as `Trajectory.y`; every
+recorded column is derived from them afterwards.
 """
 
 from __future__ import annotations
@@ -63,7 +61,7 @@ ESCAPE_NORM = 1e9
 # same instant.  Anything wider lets a run stop where accumulated steps fall
 # short of a boundary, before the clipped step that lands on it.
 TIME_RTOL = 1e-15
-LOOKAHEAD = 1024  # full dt steps planned at a time; no array grows with a phase
+MAX_STEPS = 10**7  # a plan holds a few numbers per step; 200x a bundled run
 
 MODES = ("state_fb", "output_fb", "baseline_asymptotic", "baseline_fixed_time")
 PTCOR_MODES = ("state_fb", "output_fb")
@@ -117,10 +115,8 @@ def mu(s: MuSchedule, t) -> float | np.ndarray:
 
 def kappa(s: MuSchedule, t) -> float | np.ndarray:
     """Normalized remaining time (T + t0 - t)/T, zero after the horizon."""
-    scalar = np.isscalar(t) or np.asarray(t).ndim == 0
-    tt = np.asarray(t, dtype=float)
-    out = np.clip((s.horizon - tt) / s.T, 0.0, None)
-    return float(out) if scalar else out
+    out = np.clip((s.horizon - np.asarray(t, dtype=float)) / s.T, 0.0, None)
+    return out if out.ndim else float(out)
 
 
 @dataclass
@@ -151,6 +147,22 @@ class SimConfig:
                 raise ValueError(f"{name} must be finite and positive, got {value}")
         if self.stride < 1:
             raise ValueError(f"stride must be >= 1, got {self.stride}")
+
+
+def check_step_budget(schedule: MuSchedule, cfg: SimConfig) -> None:
+    """Reject a run whose plan would outgrow MAX_STEPS or whose dt cannot advance t.
+
+    The message leads with the field at fault.  Each guard-shrunk step cuts the time left to the
+    horizon by a factor 1 - guard, so there are at most ln(T mu_cap)/guard of them.
+    """
+    span, far, dt = cfg.duration - schedule.t0, max(abs(schedule.t0), abs(cfg.duration)), cfg.dt
+    if span / dt > MAX_STEPS:
+        raise ValueError(f"dt: {dt:g} takes {span / dt:.3g} steps over [{schedule.t0:g}, "
+                         f"{cfg.duration:g}], more than {MAX_STEPS:g}")
+    if far + dt == far:
+        raise ValueError(f"dt: {dt:g} is below half the float spacing at t = {far:g}")
+    if math.log(schedule.T * schedule.mu_cap) / min(cfg.guard, 1.0) > MAX_STEPS:
+        raise ValueError(f"guard: {cfg.guard:g} allows more than {MAX_STEPS:g} guard-shrunk steps")
 
 
 def sig(z, c: float) -> np.ndarray:
@@ -195,17 +207,12 @@ class Trajectory:
     def index_at(self, at: float, tol: float) -> int:
         i = int(np.argmin(np.abs(self.t - at)))
         if abs(self.t[i] - at) > tol:
-            raise ValueError(
-                f"no sample within {tol:.3g}s of t={at:.6g} "
-                f"(range [{self.t[0]:.6g}, {self.t[-1]:.6g}])"
-            )
+            raise ValueError(f"no sample within {tol:.3g}s of t={at:.6g} "
+                             f"(range [{self.t[0]:.6g}, {self.t[-1]:.6g}])")
         return i
 
     def e_columns(self) -> list:
-        names = []
-        for i, p in enumerate(self.output_dims, start=1):
-            names.extend(f"e_{i}_{j}" for j in range(1, p + 1))
-        return names
+        return [f"e_{i}_{j}" for i, p in enumerate(self.output_dims, start=1) for j in range(1, p + 1)]
 
     def to_csv(self, path) -> None:
         fixed = [self.t, self.mu, self.e_norm, self.v_tilde_norm, self.x_bar_norm,
@@ -231,21 +238,15 @@ class Trajectory:
 
         def column(idx: int) -> np.ndarray | None:
             vals = [r[idx] for r in rows]
-            if all(v == "" for v in vals):
-                return None
-            return np.array([float(v) for v in vals])
+            return None if all(v == "" for v in vals) else np.array([float(v) for v in vals])
 
         ncol = len(header)
         data = [column(i) for i in range(ncol)]
         e = np.column_stack([data[i] for i in range(len(CSV_FIXED_COLUMNS), ncol)]) \
             if e_names else np.zeros((len(rows), 0))
-        return cls(
-            mode=mode, t=data[0], mu=data[1], e=e, e_norm=data[2],
-            v_tilde_norm=data[3], x_bar_norm=data[4], x_tilde_norm=data[5],
-            u_tilde_norm=data[6],
-            phi={k: data[6 + k] for k in (1, 2, 3, 4)},
-            output_dims=dims,
-        )
+        return cls(mode=mode, t=data[0], mu=data[1], e=e, e_norm=data[2], v_tilde_norm=data[3],
+                   x_bar_norm=data[4], x_tilde_norm=data[5], u_tilde_norm=data[6],
+                   phi={k: data[6 + k] for k in (1, 2, 3, 4)}, output_dims=dims)
 
 
 class ClosedLoopModel:
@@ -264,12 +265,8 @@ class ClosedLoopModel:
         for i, a in enumerate(agents):
             if a.q != q:
                 raise ValueError(f"agents[{i}] has exosystem dimension {a.q}, expected {q}")
-        self.network = network
-        self.agents = agents
-        self.exo = exo
-        self.gains = gains
-        self.regs = regs
-        self.schedule = schedule
+        self.network, self.agents, self.exo = network, agents, exo
+        self.gains, self.regs, self.schedule = gains, regs, schedule
         self.N, self.q = N, q
         self.p_i = [a.p for a in agents]
         self.nx = sum(a.n for a in agents)
@@ -346,8 +343,7 @@ class _Operator:
         self.s_vt, self.s_xb, self.s_xt = vt, xb, xt
         row = slice(None)
 
-        BK = m.B_blk @ m.K_blk
-        BKbar = m.B_blk @ m.Kbar_blk
+        BK, BKbar = m.B_blk @ m.K_blk, m.B_blk @ m.Kbar_blk
         M0 = [(v0, v0, m.exo.S0), (vt, vt, m.S0_blk),
               (xb, xb, m.A_blk + BKbar), (xb, vt, m.B_blk @ m.Ktil_blk)]
         M1 = [(vt, vt, -g.psi * m.Hq), (xb, xb, BK), (xb, vt, -BK @ m.X_blk)]
@@ -460,100 +456,101 @@ class _Operator:
         )
 
 
-def _drive(op: _Operator, y0: np.ndarray, schedule: MuSchedule, cfg: SimConfig):
-    """Shared RK4 driver.  Returns (times, samples, escaped, escape_time, diagnostic)."""
-    ts, ys = [], []
-    y = y0.copy()
-    t = schedule.t0
-    horizon = schedule.horizon
-    clamp_t = horizon - schedule.eps
-    dt, R = cfg.dt, None
-    chunk = np.empty((min(cfg.stride, LOOKAHEAD), op.dim))
+def _plan(schedule: MuSchedule, cfg: SimConfig, guarded: bool):
+    """Every step and sample of a run, decided before any state exists: (start, size, full, samples).
+
+    Each step's start time and size, whether it is a full ``dt`` step (neither guard-shrunk nor
+    clipped onto a boundary), and the samples as (time, steps taken); the clamp sample and the
+    horizon sample after the jump are two samples of one state.
+    """
+    dt, stride, end, horizon = cfg.dt, cfg.stride, cfg.duration, schedule.horizon
+    clamp_t = horizon - schedule.eps  # the clamp: where the last pre-horizon step lands
+    runs = [(np.empty(0), dt, True)]  # (start times, size, full) of each stretch of equal steps
+    samples = [(schedule.t0, 0)]
 
     def near(a, b):
         return abs(a - b) <= TIME_RTOL * max(1.0, abs(a))
 
-    def record(t_, y_):
-        if not ts or not near(t_, ts[-1]):
-            ts.append(t_)
-            ys.append(y_)
+    def record(t_, k_):
+        if not near(t_, samples[-1][0]):
+            samples.append((t_, k_))
 
-    def rk4(f, y_, h, a, b, c):
-        """One RK4 step of h whose four stage slopes are f(a, .), f(b, .), f(b, .), f(c, .)."""
-        k1 = f(a, y_)
-        k2 = f(b, 0.5 * h * k1 + y_)
-        k3 = f(b, 0.5 * h * k2 + y_)
-        k4 = f(c, h * k3 + y_)
-        return (h / 6.0) * (k1 + (k2 + k2) + (k3 + k3) + k4) + y_
-
-    def full_steps(boundary, pre):
-        """t, then the time after each leading step that the scalar loop would take at dt."""
-        tk = np.add.accumulate(np.r_[t, np.full(LOOKAHEAD, dt)])  # the sums of t = t + h
-        nxt = tk[1:]  # a step neither passes nor lands near() its boundary, nor does the guard bind
-        ok = (nxt <= boundary) & (np.abs(nxt - boundary) > TIME_RTOL * np.maximum(1.0, np.abs(nxt)))
-        if pre:
-            ok &= dt <= cfg.guard / mu(schedule, tk[:-1])
-        return tk[:1 + (LOOKAHEAD if ok.all() else int(ok.argmin()))]
-
-    def escape(t_):
-        diag = f"finite-escape detected at t = {t_:.9g} (state norm > {ESCAPE_NORM:g})"
-        return np.array(ts), np.vstack(ys), True, t_, diag
-
-    record(t, y)
-    steps = 0
-    while t < cfg.duration and not near(t, cfg.duration):
-        pre = op.guarded and t < clamp_t
-        if pre:
-            boundary = min(clamp_t, cfg.duration)
-        else:
-            past = t >= horizon or near(t, horizon)
-            boundary = cfg.duration if past else min(horizon, cfg.duration)
-        lti = not pre and op.W is None and (op.M1 is None or t >= horizon)
-        tk = full_steps(boundary, pre) if pre or lti else [t]
-        n, done = len(tk) - 1, 0
-        if n:
-            if pre:  # mu at t, t + h and t + h/2 of every step
-                g = mu(schedule, np.r_[tk, tk[:-1] + 0.5 * dt]).tolist()
-            elif R is None:
-                R = op.step_map(dt)
-            with np.errstate(over="ignore", invalid="ignore"):
-                while done < n:
-                    # up to the next recorded step; escape-checked once per chunk
-                    m = min(n - done, cfg.stride - steps % cfg.stride, len(chunk))
-                    for i in range(done, done + m):
-                        y = rk4(op.stage, y, dt, g[i], g[n + 1 + i], g[i + 1]) if pre else np.dot(R, y)
-                        chunk[i - done] = y
-                    rows = np.abs(chunk[:m]).max(axis=1)
-                    if not rows.max() <= ESCAPE_NORM:
-                        return escape(float(tk[done + 1 + int(np.argmin(rows <= ESCAPE_NORM))]))
-                    done, steps = done + m, steps + m
-                    t = float(tk[done])
-                    if steps % cfg.stride == 0:
-                        record(t, y)
-            continue
+    t, k = schedule.t0, 0
+    while t < end and not near(t, end):
+        pre = guarded and t < clamp_t
+        past = t >= horizon or near(t, horizon)
+        boundary = min(clamp_t, end) if pre else end if past else min(horizon, end)
         h = min(dt, cfg.guard / mu(schedule, t)) if pre else dt
+        if h == dt:
+            # the sums of t = t + dt up to the boundary; the leading steps that neither
+            # pass nor land near() it, nor are shrunk by the guard, are full steps
+            tk = np.add.accumulate(np.r_[t, np.full(int((boundary - t) / dt) + 2, dt)])
+            nxt = tk[1:]
+            ok = (nxt <= boundary) & (np.abs(nxt - boundary) > TIME_RTOL * np.maximum(1.0, np.abs(nxt)))
+            if pre:
+                ok &= dt <= cfg.guard / mu(schedule, tk[:-1])
+            n = len(nxt) if ok.all() else int(ok.argmin())
+            if n:
+                runs.append((tk[:n], dt, True))
+                for i in range(stride - k % stride, n + 1, stride):
+                    record(float(tk[i]), k + i)
+                t, k = float(tk[n]), k + n
+                continue
         if t + h > boundary or near(t + h, boundary):
             h = boundary - t
         if h <= 0:
             break
-        y = rk4(op.rhs, y, h, t, t + 0.5 * h, t + h)
-        t = t + h
-        steps += 1
-        # NaN fails the comparison, so one pass catches non-finite and escaped states
-        if not float(np.abs(y).max()) <= ESCAPE_NORM:
-            return escape(t)
-        at_clamp = op.guarded and near(t, clamp_t) and clamp_t < cfg.duration
-        at_boundary = near(t, boundary)
-        if steps % cfg.stride == 0 or at_clamp or at_boundary:
-            record(t, y)
+        if t + h == t:
+            raise ValueError(f"guard: a step of {h:.3g} does not advance t = {t:.17g}")
+        runs.append((np.array([t]), h, False))
+        t, k = t + h, k + 1
+        at_clamp = guarded and near(t, clamp_t) and clamp_t < end
+        if k % stride == 0 or at_clamp or near(t, boundary):
+            record(t, k)
         if at_clamp:
             # Jump across the capped sliver [horizon - eps, horizon]; the
             # post-horizon branch continues from the clamped state.
             t = horizon
-            if t < cfg.duration and not near(t, cfg.duration):
-                record(t, y)
-    record(t, y)
-    return np.array(ts), np.vstack(ys), False, None, ""
+            if t < end and not near(t, end):
+                record(t, k)
+    record(t, k)
+    starts, sizes, fulls = zip(*runs)
+    counts = [len(s) for s in starts]
+    return np.concatenate(starts), np.repeat(sizes, counts), np.repeat(fulls, counts), samples
+
+
+def _drive(op: _Operator, y0: np.ndarray, schedule: MuSchedule, cfg: SimConfig):
+    """Walk the planned steps.  Returns (times, samples, escaped, escape_time, diagnostic)."""
+    start, size, full, samples = _plan(schedule, cfg, op.guarded)
+    ts, taken = np.array([s for s, _ in samples]), [k for _, k in samples]
+    stage_t = (start, start + 0.5 * size, start + size)  # the times of the four RK4 stages
+    f, (a, b, c) = (op.rhs, stage_t) if op.M1 is None else (op.stage, [mu(schedule, s) for s in stage_t])
+    # a full step of an LTI loop (no relay, and past the horizon or without M1) is y <- R y
+    lti = (full & (op.W is None) & ((op.M1 is None) | (start >= schedule.horizon))).tolist()
+    R = op.step_map(cfg.dt) if any(lti) else None
+    Y, y = np.empty((len(ts), op.dim)), y0
+    rows = np.empty((max(np.diff(taken), default=0), op.dim))
+    with np.errstate(over="ignore", invalid="ignore"):
+        for j, (lo, hi) in enumerate(zip([0] + taken, taken)):  # the steps before sample j
+            for i in range(lo, hi):
+                if lti[i]:
+                    y = np.dot(R, y)
+                else:
+                    h = size[i]
+                    k1 = f(a[i], y)
+                    k2 = f(b[i], 0.5 * h * k1 + y)
+                    k3 = f(b[i], 0.5 * h * k2 + y)
+                    k4 = f(c[i], h * k3 + y)
+                    y = (h / 6.0) * (k1 + (k2 + k2) + (k3 + k3) + k4) + y
+                rows[i - lo] = y
+            # NaN fails the comparison, so one test catches escaped and non-finite states
+            ok = np.abs(rows[:hi - lo]).max(axis=1) <= ESCAPE_NORM
+            if not ok.all():
+                t_esc = float(stage_t[2][lo + int(ok.argmin())])
+                diag = f"finite-escape detected at t = {t_esc:.9g} (state norm > {ESCAPE_NORM:g})"
+                return ts[:j], Y[:j], True, t_esc, diag
+            Y[j] = y
+    return ts, Y, False, None, ""
 
 
 def integrate(scenario, config: SimConfig | None = None,
@@ -564,10 +561,12 @@ def integrate(scenario, config: SimConfig | None = None,
     mu schedule, simulation config, and initial conditions.  A finite
     escape does not raise: the truncated trajectory is returned with the
     escape flagged, since divergence is itself a meaningful outcome.  A
-    feedforward gain violating Ktil = U - Kbar X raises `SynthesisError`.
+    feedforward gain violating Ktil = U - Kbar X raises `SynthesisError`; a
+    run over `check_step_budget` raises ValueError before anything is built.
     """
     cfg = config or scenario.sim_config
     sched = scenario.mu_schedule
+    check_step_budget(sched, cfg)
     if cfg.duration <= sched.horizon:
         warnings.warn(
             f"duration {cfg.duration} does not extend beyond the horizon {sched.horizon}; "

@@ -37,6 +37,9 @@ from .graph import ObserverRate
 from .numerics import lyapunov_certificate
 
 KTIL_CONSISTENCY_TOL = 1e-8
+# A boundary-inclusive (>=) row passes within this fraction of its bound: rates from
+# eigen- and Lyapunov solves that sit on a bound by construction round a few ulps either side.
+BOUNDARY_RTOL = 1e-12
 
 
 class SynthesisError(ValueError):
@@ -216,7 +219,8 @@ def verify_gains(mode: str, gains: GainSet, rates: ObserverRate, agents: list,
     Each inequality appears exactly once, instantiated at its worst case
     over the followers; the per-agent values are kept in the detail field.
     `mode` is "state_fb" or "output_fb".  Failures are warnings except the
-    feedforward consistency Ktil = U - Kbar X, which is an error.
+    feedforward consistency Ktil = U - Kbar X, which is an error.  The ``>=``
+    rows pass within BOUNDARY_RTOL of their bound; strict rows stay strict.
     """
     if mode not in ("state_fb", "output_fb"):
         raise ValueError(f"mode must be 'state_fb' or 'output_fb', got {mode!r}")
@@ -237,11 +241,14 @@ def verify_gains(mode: str, gains: GainSet, rates: ObserverRate, agents: list,
     def row(name, required, measured, passed, detail, severity="warning"):
         checks.append(ConditionCheck(name, required, float(measured), bool(passed), severity, detail))
 
+    def at_least(measured, bound) -> bool:
+        return measured >= bound - BOUNDARY_RTOL * abs(bound)  # NaN on either side fails
+
     def coupling(term, bound, detail, fallback=None):
         worst = bound.max()
         row(f"coupling: psi*rho_H >= {term}",
             f"psi*rho_H >= {fallback or term}" if np.isnan(worst) else f"psi*rho_H >= {worst:.6g}",
-            psi_rho, psi_rho >= worst, fmt(detail))
+            psi_rho, at_least(psi_rho, worst), fmt(detail))
 
     theta = per_agent(gains.theta)
     max_bk = np.array([check_ptor_state(a.B, K)[1] for a, K in zip(agents, gains.K)])
@@ -266,7 +273,7 @@ def verify_gains(mode: str, gains: GainSet, rates: ObserverRate, agents: list,
             vartheta.min(), vartheta.min() > 1.0, fmt(vartheta))
         coupling("vartheta_i + 1", vartheta + 1.0, vartheta)
         row("cascade: vartheta_i >= theta_i + 3/2", "min_i (vartheta_i - theta_i) >= 1.5",
-            gap, gap >= 1.5, fmt(vartheta))
+            gap, at_least(gap, 1.5), fmt(vartheta))
         # the per-agent bounds are listed only when every theta is certified
         coupling("theta_i + ||Ltil*Fm||^2/2 + 1", fm_bound,
                  [] if np.isnan(theta).any() else fm_bound, "theta_i + ||Ltil Fm||^2/2 + 1")

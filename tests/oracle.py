@@ -8,8 +8,9 @@ states x_i, local observer states xhat_i), and map between the two
 coordinate systems, so the tests can compare both routes.
 
 `drive` is the integrator loop that takes every step as four right-hand-side
-calls; `ptcor.sim._drive` replaces most of those steps with precomputed maps
-and must land on the same times.
+calls and decides each step as it goes; `ptcor.sim._drive` walks a plan of
+steps and samples fixed beforehand, takes most full steps as one product with
+a precomputed step map, and must land on the same times.
 
 `solve_lyapunov` solves P M + M^T P = Q through the dense (n^2, n^2)
 Kronecker system, a route that shares nothing with the Bartels-Stewart

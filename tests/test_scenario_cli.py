@@ -189,7 +189,9 @@ class TestCli:
                                              ("--tol-abs", "nan"), ("--tol-rel", "inf"),
                                              ("--dt", "inf"), ("--dt", "nan"), ("--T", "nan"),
                                              ("--T", "inf"), ("--mu-cap", "nan"),
-                                             ("--mu-cap", "inf")])
+                                             ("--mu-cap", "inf"),
+                                             # 5e12 and 5e17 steps: over MAX_STEPS
+                                             ("--dt", "1e-12"), ("--dt", "1e-17")])
     def test_bad_override_is_schema_error(self, tmp_path, capsys, flag, value):
         rc = main(["certify", "example1_rlc", flag, value, "--out", str(tmp_path)])
         err = capsys.readouterr().err
@@ -215,6 +217,9 @@ class TestCli:
         (("extra",), 1, "extra"),
         (("initial",), [1, 2], "initial"),
         (("sim", "baseline_constants"), [1, 2], "sim.baseline_constants"),
+        # the step budget: too many steps of dt, too many guard-shrunk steps
+        (("sim", "dt"), 1e-12, "sim.dt"),
+        (("sim", "guard"), 1e-9, "sim.guard"),
     ])
     def test_bad_value_is_schema_error(self, example1_doc, tmp_path, capsys, keys, value, field):
         node = example1_doc
@@ -227,6 +232,18 @@ class TestCli:
         err = capsys.readouterr().err
         assert rc == 2
         assert err.startswith("schema:") and f"{field}:" in err
+
+    def test_large_t0_step_that_cannot_advance_is_schema_error(self, example1_doc, tmp_path, capsys):
+        # 5e4 steps of 1e-4 would all round away at t = 1e13, where floats are 2e-3 apart
+        example1_doc["mu"]["t0"] = 1e13
+        example1_doc["sim"]["duration"] = 1e13 + 5.0
+        path = tmp_path / "late.yaml"
+        path.write_text(yaml.safe_dump(example1_doc), encoding="utf-8")
+        rc = main(["certify", str(path), "--out", str(tmp_path)])
+        err = capsys.readouterr().err
+        assert rc == 2
+        assert err.startswith("schema:") and "sim.dt: 0.0001 is below half the float spacing" in err
+        assert not list(tmp_path.glob("*.csv"))
 
     def test_inconsistent_feedforward(self, tmp_path, capsys):
         scenario = load_scenario("example1_rlc")

@@ -3,19 +3,26 @@ from dataclasses import replace
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+import ptcor.sim
 from ptcor.graph import network_from_edges
 from ptcor.plant import AgentModel, Exosystem
 from ptcor.scenario import Scenario, load_scenario
 from ptcor.sim import (
     CSV_FIXED_COLUMNS,
+    MAX_STEPS,
     MODES,
+    PTCOR_MODES,
     BaselineConstants,
     MuSchedule,
     SimConfig,
     Trajectory,
     _drive,
     _Operator,
+    _plan,
+    check_step_budget,
     compile_model,
     integrate,
     kappa,
@@ -107,6 +114,35 @@ class TestSimConfig:
     def test_non_finite_or_non_positive_rejected(self, field, value):
         with pytest.raises(ValueError, match=field):
             SimConfig(**{field: value})
+
+    @pytest.mark.parametrize("t0, dt, duration, match", [
+        (0.0, 1e-12, 5.0, "dt: 1e-12 takes 5e"),              # 5e12 steps
+        (0.0, 1e-17, 5.0, "dt: 1e-17 takes"),                 # below the float spacing too
+        (1e13, 1e-4, 1e13 + 5.0, "dt: 0.0001 is below half"),  # 5e4 steps, none advancing t
+    ])
+    def test_step_budget_checked_before_compiling(self, monkeypatch, t0, dt, duration, match):
+        s = scalar_scenario()
+        s.mu_schedule = MuSchedule(T=1.0, t0=t0)
+        monkeypatch.setattr(ptcor.sim, "compile_model", lambda scenario: pytest.fail("compiled"))
+        with pytest.raises(ValueError, match=match):
+            integrate(s, SimConfig(mode="state_fb", dt=dt, duration=duration))
+
+    def test_budget_is_inclusive(self):
+        sched = MuSchedule(T=1.0)
+        check_step_budget(sched, SimConfig(dt=1.0, duration=float(MAX_STEPS)))
+        with pytest.raises(ValueError, match="dt:"):
+            check_step_budget(sched, SimConfig(dt=1.0, duration=MAX_STEPS + 1.0))
+
+    def test_guard_budget(self):
+        # ln(T mu_cap)/guard bounds the guard-shrunk steps: ln(1e6)/1e-6 is 1.4e7
+        with pytest.raises(ValueError, match="guard:"):
+            check_step_budget(MuSchedule(T=1.0), SimConfig(guard=1e-6))
+
+    def test_guard_step_that_does_not_advance_t_is_rejected(self):
+        # guard/mu_cap = 1e-18 is below half the float spacing near t = 1
+        sched = MuSchedule(T=1.0, mu_cap=1e16)
+        with pytest.raises(ValueError, match="guard: a step of .* does not advance t"):
+            _plan(sched, SimConfig(mode="state_fb", dt=1e-3, guard=0.01, duration=1.5), guarded=True)
 
 
 def test_sig_definition():
@@ -550,3 +586,35 @@ class TestDriveMatchesOracle:
         _, (t, Y, escaped, t_esc, _), ref = drive_both(s, compile_model(s), s.sim_config)
         assert escaped and ref[2] and t_esc == ref[3]
         assert np.array_equal(t, ref[0]) and np.array_equal(Y, ref[1])
+
+
+class TestPlanProperty:
+    """Random step grids on the scalar loop: the plan alone fixes the sample times, and
+    walking it matches the all-scalar reference loop."""
+
+    @settings(max_examples=50, deadline=None)
+    @given(mode=st.sampled_from(MODES), T=st.floats(0.25, 2.0),
+           t0=st.sampled_from([0.0, 0.5, 3.1, 100.0]),
+           # mu_cap * T: on 1 (clamp at t0), a hair above it, or 10^0 to 10^8
+           cap=st.one_of(st.sampled_from([1.0, 1.0 + 1e-12, 1.0 + 1e-6]),
+                         st.floats(0.0, 8.0).map(lambda e: 10**e)),
+           dt=st.floats(5e-3, 0.1), guard=st.floats(0.05, 1.5), stride=st.integers(1, 10),
+           span=st.floats(0.3, 2.5), K=st.sampled_from([-2.0, 2.0]), kbar=st.sampled_from([0.0, 10.0]))
+    def test_plan_and_walk_match_the_oracle(self, mode, T, t0, cap, dt, guard, stride, span, K, kbar):
+        s = scalar_scenario(K_gain=K, T=T, mode=mode)
+        s.gain_spec = replace(s.gain_spec, Kbar=np.array([[kbar]]))  # kbar = 10: unstable past T
+        s.mu_schedule = MuSchedule(T=T, t0=t0, mu_cap=cap / T)
+        cfg = SimConfig(mode=mode, dt=dt, guard=guard, stride=stride, duration=t0 + span * T)
+        model = compile_model(s)
+        with warnings.catch_warnings():
+            warnings.simplefilter("ignore", UserWarning)  # duration before the horizon
+            traj = integrate(s, cfg, model=model)
+        op = _Operator(model, mode, cfg.baseline)
+        y0 = op.initial_state(s.exo.v0_init, s.v_init, s.x_init, s.xhat_init)
+        t_ref, Y_ref, escaped, t_esc, _ = drive(op, y0, s.mu_schedule, cfg)
+        assert np.array_equal(traj.t, t_ref)
+        assert traj.finite_escape == escaped and traj.escape_time == t_esc
+        assert (np.abs(traj.y - Y_ref) <= 1e-10 * np.abs(Y_ref).max(axis=0)).all()
+        planned = np.array([t for t, _ in _plan(s.mu_schedule, cfg, mode in PTCOR_MODES)[3]])
+        # an escape cuts the planned samples short
+        assert np.array_equal(planned if not escaped else planned[:len(traj.t)], traj.t)

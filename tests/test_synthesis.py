@@ -256,6 +256,23 @@ class TestVerifyGains:
                    if a.passed != c.passed]
         assert flipped == ["coupling: psi*rho_H >= theta_i + 1"]
 
+    @pytest.mark.parametrize("mbar_L, passes", [(4.5, True), (4.5 - 1e-9, False)])
+    def test_cascade_boundary(self, mbar_L, passes):
+        # scaled RLC circuits (A, B times s) at B K = -3 I and Ltil Cm = 4.5 I: every gap
+        # vartheta - theta is 3/2 up to rounding, and s = 1.25 rounds it below
+        base, exo = rlc_agent(), rlc_exo()
+        agents = [replace(base, A=s * base.A, B=s * base.B) for s in (0.6, 1.0, 1.25)]
+        regs = [solve_regulator(a, exo) for a in agents]
+        net = network_from_edges(3, [(0, i, 4.0) for i in (1, 2, 3)])
+        rates = observer_rate(partition_laplacian(net))
+        spec = GainSpec(psi=2.0, Kbar=np.zeros((2, 2)), L=np.zeros((2, 2)), mbar_K=3.0, mbar_L=mbar_L)
+        gains = build_gain_set(spec, agents, regs)
+        checks = by_name(verify_gains("output_fb", gains, rates, agents, regs))
+        cascade = checks["cascade: vartheta_i >= theta_i + 3/2"]
+        assert cascade.measured < 1.5 and cascade.passed == passes
+        assert (cascade.measured > 1.5 - 1e-14) == passes
+        assert all(c.passed for c in checks.values() if c is not cascade)
+
 
 class TestConditionText:
     """The full condition table, against text recorded before it became table-driven."""
