@@ -59,6 +59,7 @@ from .sim import BaselineConstants, MuSchedule, SimConfig, check_step_budget
 from .synthesis import GainSpec
 
 BUNDLED = ("example1_rlc", "example2_ccvsi")
+YAML_LOADER = getattr(yaml, "CSafeLoader", yaml.SafeLoader)  # libyaml's parser when PyYAML has it
 AGENT_MATRICES = ("A", "B", "E", "C", "D", "F", "Cm", "Dm", "Fm")
 
 
@@ -346,7 +347,10 @@ def load_scenario(path: str | Path) -> Scenario:
     """Load and validate a scenario; raises ScenarioError with field paths."""
     p = resolve_path(path)
     with p.open("r", encoding="utf-8") as fh:
-        doc = yaml.safe_load(fh)
+        try:
+            doc = yaml.load(fh, Loader=YAML_LOADER)
+        except yaml.YAMLError as exc:
+            raise ScenarioError([f"{p}: not valid YAML: {exc}"]) from exc
     return scenario_from_dict(doc, name_fallback=Path(str(p)).stem)
 
 

@@ -33,14 +33,14 @@ of ``dt``, shrunk before the horizon to ``min(dt, guard/mu)`` (which keeps
 the stiffest eigenvalue times the step inside the RK4 stability region for
 the default guard) and clipped to land on the clamp, the horizon and the
 end; a sample every ``stride`` steps, at each landing and at the end.
-`_drive` then walks that plan with classic explicit RK4.  A full ``dt`` step
-of an LTI loop (past the horizon, and the whole asymptotic baseline) is
-y <- R y with R = I + hA + (hA)^2/2 + (hA)^3/6 + (hA)^4/24 built once (Moler
-& Van Loan, SIAM Review 2003); every other step is the four-stage RK4 step,
-one product per stage with the stacked [M0; M1] at the planned gains, or the
-baselines' right-hand side.  Each sample interval is escape-checked once,
-step by step.  Only the sampled (t, y) are kept, as `Trajectory.y`; every
-recorded column is derived from them afterwards.
+`_drive` walks it with classic explicit RK4 in three kinds of step.  A full
+``dt`` step of an LTI loop (past the horizon, and the asymptotic baseline) is
+y <- R y.  Up to STEP_POLY_MAX_DIM states, a sample interval of m of them is
+y <- R^m y when ||y|| ||R||^m rules out an escape inside it, and a full
+pre-horizon step is y <- w (B y).reshape(12, dim), its polynomial in the three
+stage gains (`_Operator.step_basis`).  Every other step takes the four stages,
+and an interval that may escape is checked step by step.  Only the sampled
+(t, y) are kept, as `Trajectory.y`; every recorded column is derived from them.
 """
 
 from __future__ import annotations
@@ -62,6 +62,9 @@ ESCAPE_NORM = 1e9
 # short of a boundary, before the clipped step that lands on it.
 TIME_RTOL = 1e-15
 MAX_STEPS = 10**7  # a plan holds a few numbers per step; 200x a bundled run
+MIN_DT_ULPS = 10**6  # float spacings of |t| in dt: a step moves the clock by dt to 5e-7 relative
+STEP_MONOMIALS = [(i, j, k) for i in (0, 1) for j in (0, 1, 2) for k in (0, 1)]  # a^i b^j c^k
+STEP_POLY_MAX_DIM = 96  # above it B, and the R^m of a sample interval, cost more than they save
 
 MODES = ("state_fb", "output_fb", "baseline_asymptotic", "baseline_fixed_time")
 PTCOR_MODES = ("state_fb", "output_fb")
@@ -150,7 +153,7 @@ class SimConfig:
 
 
 def check_step_budget(schedule: MuSchedule, cfg: SimConfig) -> None:
-    """Reject a run whose plan would outgrow MAX_STEPS or whose dt cannot advance t.
+    """Reject a run whose plan would outgrow MAX_STEPS or whose dt is under MIN_DT_ULPS spacings.
 
     The message leads with the field at fault.  Each guard-shrunk step cuts the time left to the
     horizon by a factor 1 - guard, so there are at most ln(T mu_cap)/guard of them.
@@ -159,8 +162,9 @@ def check_step_budget(schedule: MuSchedule, cfg: SimConfig) -> None:
     if span / dt > MAX_STEPS:
         raise ValueError(f"dt: {dt:g} takes {span / dt:.3g} steps over [{schedule.t0:g}, "
                          f"{cfg.duration:g}], more than {MAX_STEPS:g}")
-    if far + dt == far:
-        raise ValueError(f"dt: {dt:g} is below half the float spacing at t = {far:g}")
+    if dt < MIN_DT_ULPS * math.ulp(far):
+        raise ValueError(f"dt: {dt:g} is " + ("below half the float spacing" if far + dt == far else
+                         f"under {MIN_DT_ULPS:g} float spacings") + f" at t = {far:g}")
     if math.log(schedule.T * schedule.mu_cap) / min(cfg.guard, 1.0) > MAX_STEPS:
         raise ValueError(f"guard: {cfg.guard:g} allows more than {MAX_STEPS:g} guard-shrunk steps")
 
@@ -217,11 +221,13 @@ class Trajectory:
     def to_csv(self, path) -> None:
         fixed = [self.t, self.mu, self.e_norm, self.v_tilde_norm, self.x_bar_norm,
                  self.x_tilde_norm, self.u_tilde_norm] + [self.phi.get(k) for k in (1, 2, 3, 4)]
-        present = [c for c in fixed if c is not None]
-        # One row format: a literal empty field stands for each absent column.
-        fmt = ", ".join(["" if c is None else "%.15g" for c in fixed] + ["%.15g"] * self.e.shape[1])
-        np.savetxt(path, np.column_stack(present + [self.e]), fmt=fmt, comments="",
-                   header=", ".join(CSV_FIXED_COLUMNS + self.e_columns()), encoding="utf-8")
+        data = np.column_stack([c for c in fixed if c is not None] + [self.e])
+        # One row format, a literal empty field for each absent column, and one % per block of rows
+        row = ", ".join(["" if c is None else "%.15g" for c in fixed] + ["%.15g"] * self.e.shape[1])
+        with open(path, "w", encoding="utf-8") as fh:
+            fh.write(", ".join(CSV_FIXED_COLUMNS + self.e_columns()) + "\n")
+            for block in np.split(data, range(512, len(data), 512)):
+                fh.write((row + "\n") * len(block) % tuple(block.ravel().tolist()))
 
     @classmethod
     def from_csv(cls, path, mode: str = "unknown") -> "Trajectory":
@@ -422,6 +428,27 @@ class _Operator:
                 X[...] = (h / k) * self.rhs(self.schedule.horizon, X) + eye
         return R
 
+    def step_basis(self, h: float) -> np.ndarray:
+        """B with y <- w (B y).reshape(12, dim) one RK4 step of h: at stage gains a = mu(t),
+        b = mu(t + h/2), c = mu(t + h) the step is a polynomial in (a, b, c), B stacks its matrix
+        coefficients in STEP_MONOMIALS order and w holds the monomials a^i b^j c^k.  The four stages
+        are RK4's, on polynomials {exponents: coefficient} in place of states."""
+        dim, eye = self.dim, {(0, 0, 0): np.eye(self.dim)}
+
+        def lin(*terms):  # the sum of scale * polynomial over (scale, polynomial) pairs
+            return {e: sum(s * P[e] for s, P in terms if e in P) for e in {e for _, P in terms for e in P}}
+
+        def times(g, P):  # (M0 + gain M1) P, the gain a, b or c for g = 0, 1 or 2
+            z = {e: np.dot(self.M01, C) for e, C in P.items()}
+            return lin((1.0, {e: Z[:dim] for e, Z in z.items()}),
+                       (1.0, {e[:g] + (e[g] + 1,) + e[g + 1:]: Z[dim:] for e, Z in z.items()}))
+
+        k = [times(0, eye)]
+        for g, s in ((1, h / 2), (1, h / 2), (2, h)):
+            k.append(times(g, lin((1.0, eye), (s, k[-1]))))
+        phi = lin((1.0, eye), *zip((h / 6, h / 3, h / 3, h / 6), k))
+        return np.vstack([phi[e] for e in STEP_MONOMIALS])
+
     def signals(self, t: np.ndarray, Y: np.ndarray) -> dict:
         """Every recorded column of the samples `Y` (S x dim) taken at times `t`."""
         mus = mu(self.schedule, t)
@@ -522,19 +549,32 @@ def _plan(schedule: MuSchedule, cfg: SimConfig, guarded: bool):
 def _drive(op: _Operator, y0: np.ndarray, schedule: MuSchedule, cfg: SimConfig):
     """Walk the planned steps.  Returns (times, samples, escaped, escape_time, diagnostic)."""
     start, size, full, samples = _plan(schedule, cfg, op.guarded)
-    ts, taken = np.array([s for s, _ in samples]), [k for _, k in samples]
+    ts, ends = np.array([s for s, _ in samples]), np.r_[0, [k for _, k in samples]]
     stage_t = (start, start + 0.5 * size, start + size)  # the times of the four RK4 stages
     f, (a, b, c) = (op.rhs, stage_t) if op.M1 is None else (op.stage, [mu(schedule, s) for s in stage_t])
-    # a full step of an LTI loop (no relay, and past the horizon or without M1) is y <- R y
-    lti = (full & (op.W is None) & ((op.M1 is None) | (start >= schedule.horizon))).tolist()
-    R = op.step_map(cfg.dt) if any(lti) else None
-    Y, y = np.empty((len(ts), op.dim)), y0
-    rows = np.empty((max(np.diff(taken), default=0), op.dim))
+    steps, small = np.diff(ends), op.dim <= STEP_POLY_MAX_DIM
+    lti = full & (op.W is None) & ((op.M1 is None) | (start >= schedule.horizon))
+    poly = full & ~lti & (op.M1 is not None) & small
+    R, B = (op.step_map(cfg.dt) if lti.any() else None), (op.step_basis(cfg.dt) if poly.any() else None)
+    # sample intervals of LTI steps (reduceat ANDs each nonempty one); ||y|| ||R||^m bounds ||R^j y||
+    jump = small & (steps > 1) & np.logical_and.reduceat(np.r_[lti, True], ends[:-1])
+    Rm = {m: np.linalg.matrix_power(R, m) for m in set(steps[jump].tolist())}
+    norm_R, jump = (np.maximum(1.0, np.abs(R).sum(axis=1).max()) if Rm else 1.0), jump.tolist()
+    kind = (lti * np.int8(2) + poly).tolist()  # 2: y <- R y, 1: the polynomial, 0: the four stages
+    Y, rows, y, w, w0 = np.empty((len(ts), op.dim)), np.empty((max(steps, default=0), op.dim)), y0, [], 0
     with np.errstate(over="ignore", invalid="ignore"):
-        for j, (lo, hi) in enumerate(zip([0] + taken, taken)):  # the steps before sample j
+        for j, (lo, hi) in enumerate(zip(ends[:-1].tolist(), ends[1:].tolist())):
+            if jump[j] and np.abs(y).max() * norm_R ** (hi - lo) <= 0.5 * ESCAPE_NORM:
+                y = Y[j] = np.dot(Rm[hi - lo], y)
+                continue
             for i in range(lo, hi):
-                if lti[i]:
+                if kind[i] == 2:
                     y = np.dot(R, y)
+                elif kind[i] == 1:
+                    if i >= w0 + len(w):  # w: the monomials a^i b^j c^k of steps w0 .. w0 + 1023
+                        abc = np.stack([g[i:i + 1024] for g in (a, b, c)], axis=-1)
+                        w0, w = i, np.prod(abc[:, None, :] ** np.array(STEP_MONOMIALS), axis=-1)
+                    y = np.dot(w[i - w0], np.dot(B, y).reshape(12, -1))
                 else:
                     h = size[i]
                     k1 = f(a[i], y)

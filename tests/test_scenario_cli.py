@@ -4,8 +4,11 @@ import numpy as np
 import pytest
 import yaml
 
+import ptcor.scenario
+from perfbench import generate
 from ptcor.cli import main
 from ptcor.scenario import (
+    BUNDLED,
     ScenarioError,
     load_scenario,
     resolve_path,
@@ -245,6 +248,18 @@ class TestCli:
         assert err.startswith("schema:") and "sim.dt: 0.0001 is below half the float spacing" in err
         assert not list(tmp_path.glob("*.csv"))
 
+    def test_dt_under_a_million_float_spacings_is_schema_error(self, example1_doc, tmp_path, capsys):
+        # floats are 1.9e-6 apart at t = 1e10: a step of 1e-6 advances t, but by 1.9e-6
+        example1_doc["mu"]["t0"] = 1e10
+        example1_doc["sim"].update(duration=1e10 + 0.01, dt=1e-6)
+        path = tmp_path / "late.yaml"
+        path.write_text(yaml.safe_dump(example1_doc), encoding="utf-8")
+        rc = main(["certify", str(path), "--out", str(tmp_path)])
+        err = capsys.readouterr().err
+        assert rc == 2
+        assert err.startswith("schema:") and "sim.dt: 1e-06 is under 1e+06 float spacings" in err
+        assert not list(tmp_path.glob("*.csv"))
+
     def test_inconsistent_feedforward(self, tmp_path, capsys):
         scenario = load_scenario("example1_rlc")
         gains = compile_model(scenario).gains
@@ -266,3 +281,37 @@ class TestCli:
     def test_unknown_baseline_rejected(self, tmp_path, capsys):
         rc = main(["compare", "example1_rlc", "--baselines", "nope", "--out", str(tmp_path)])
         assert rc == 2
+
+
+LOADERS = [yaml.SafeLoader] + ([yaml.CSafeLoader] if hasattr(yaml, "CSafeLoader") else [])
+
+
+class TestYamlLoaders:
+    """libyaml's CSafeLoader, where PyYAML has it, and the pure-Python SafeLoader read one document."""
+
+    @pytest.mark.skipif(not hasattr(yaml, "CSafeLoader"), reason="PyYAML is built without libyaml")
+    @pytest.mark.parametrize("source", list(BUNDLED) + [8, 24, 48])
+    def test_loaders_read_equal_dicts(self, source):
+        text = (resolve_path(source).read_text(encoding="utf-8") if isinstance(source, str)
+                else generate.scenario_yaml(source, seed=1))
+        doc = yaml.load(text, Loader=yaml.CSafeLoader)
+        assert doc == yaml.load(text, Loader=yaml.SafeLoader)
+        assert isinstance(doc["sim"]["dt"], float)
+
+    @pytest.mark.parametrize("loader", LOADERS, ids=lambda loader: loader.__name__)
+    def test_scenario_loads_with_either_loader(self, monkeypatch, loader):
+        monkeypatch.setattr(ptcor.scenario, "YAML_LOADER", loader)
+        with resolve_path("example1_rlc").open(encoding="utf-8") as fh:
+            expected = scenario_from_dict(yaml.safe_load(fh), name_fallback="example1_rlc")
+        assert scenario_to_dict(load_scenario("example1_rlc")) == scenario_to_dict(expected)
+
+    @pytest.mark.parametrize("loader", LOADERS, ids=lambda loader: loader.__name__)
+    def test_malformed_yaml_is_schema_error(self, monkeypatch, tmp_path, capsys, loader):
+        monkeypatch.setattr(ptcor.scenario, "YAML_LOADER", loader)
+        path = tmp_path / "broken.yaml"
+        path.write_text("graph: [1, 2\n", encoding="utf-8")
+        assert main(["check", str(path)]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("schema:") and "broken.yaml: not valid YAML" in err
+        with pytest.raises(ScenarioError, match="not valid YAML"):
+            load_scenario(path)

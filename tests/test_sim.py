@@ -12,9 +12,12 @@ from ptcor.plant import AgentModel, Exosystem
 from ptcor.scenario import Scenario, load_scenario
 from ptcor.sim import (
     CSV_FIXED_COLUMNS,
+    ESCAPE_NORM,
     MAX_STEPS,
     MODES,
     PTCOR_MODES,
+    STEP_MONOMIALS,
+    STEP_POLY_MAX_DIM,
     BaselineConstants,
     MuSchedule,
     SimConfig,
@@ -119,6 +122,8 @@ class TestSimConfig:
         (0.0, 1e-12, 5.0, "dt: 1e-12 takes 5e"),              # 5e12 steps
         (0.0, 1e-17, 5.0, "dt: 1e-17 takes"),                 # below the float spacing too
         (1e13, 1e-4, 1e13 + 5.0, "dt: 0.0001 is below half"),  # 5e4 steps, none advancing t
+        # each step advances t by 1.9e-6, the float spacing at 1e10, while the state moves by 1e-6
+        (1e10, 1e-6, 1e10 + 0.01, r"dt: 1e-06 is under 1e\+06 float spacings at t = 1e\+10"),
     ])
     def test_step_budget_checked_before_compiling(self, monkeypatch, t0, dt, duration, match):
         s = scalar_scenario()
@@ -487,6 +492,21 @@ class TestTrajectoryCsv:
             "0.1, 0.333333333333333, 0.5, 2, 4, , 6, 8, 10, , , 0.25, 0.142857142857143",
         ]
 
+    @pytest.mark.parametrize("mode", PTCOR_MODES)
+    def test_bytes_match_savetxt(self, tmp_path, rlc_model, mode):
+        # state feedback leaves x_tilde, phi3 and phi4 empty; stride 1 gives several blocks of rows
+        scenario, model = rlc_model
+        traj = integrate(scenario, SimConfig(mode=mode, dt=1e-3, duration=2.3, stride=1), model=model)
+        assert len(traj.t) > 4 * 512
+        path, ref = tmp_path / "run.csv", tmp_path / "savetxt.csv"
+        traj.to_csv(path)
+        fixed = [traj.t, traj.mu, traj.e_norm, traj.v_tilde_norm, traj.x_bar_norm, traj.x_tilde_norm,
+                 traj.u_tilde_norm] + [traj.phi[k] for k in (1, 2, 3, 4)]
+        fmt = ", ".join(["" if c is None else "%.15g" for c in fixed] + ["%.15g"] * traj.e.shape[1])
+        np.savetxt(ref, np.column_stack([c for c in fixed if c is not None] + [traj.e]), fmt=fmt,
+                   comments="", header=", ".join(CSV_FIXED_COLUMNS + traj.e_columns()), encoding="utf-8")
+        assert path.read_bytes() == ref.read_bytes()
+
     def test_partly_empty_column_rejected(self, tmp_path):
         path = tmp_path / "run.csv"
         path.write_text(", ".join(CSV_FIXED_COLUMNS) + "\n"
@@ -538,9 +558,9 @@ class TestDriveMatchesOracle:
         scale = np.abs(Y_ref).max(axis=0)
         assert (np.abs(Y - Y_ref) <= 1e-10 * scale).all()
         if op.guarded:
-            # before the horizon the stages keep the scalar step's arithmetic
+            # before the horizon a full step sums the RK4 polynomial in another order
             pre = t < scenario.mu_schedule.horizon
-            assert np.array_equal(Y[pre], Y_ref[pre])
+            assert (np.abs(Y[pre] - Y_ref[pre]) <= 1e-11 * scale).all()
 
     @pytest.mark.parametrize("mode", ["output_fb", "baseline_asymptotic"])
     def test_step_map_is_the_rk4_step(self, bundled_models, mode):
@@ -567,6 +587,12 @@ class TestDriveMatchesOracle:
         assert t_esc == ref[3] and diag == ref[4]
         assert np.array_equal(t, ref[0])
         assert np.abs(Y - ref[1]).max() <= 1e-10 * np.abs(ref[1]).max()
+        # sample intervals of full steps past the horizon are one product with R^m while
+        # ||y|| ||R||^m stays within ESCAPE_NORM / 2, and are walked step by step after that
+        R = _Operator(compile_model(s), mode, cfg.baseline).step_map(cfg.dt)
+        reach = np.abs(Y).max(axis=1) * np.abs(R).sum(axis=1).max() ** stride / (0.5 * ESCAPE_NORM)
+        post = t > s.mu_schedule.horizon + stride * cfg.dt
+        assert reach[post][0] <= 1e-3 and reach[-1] > 1.0
         if kbar == 3.0:
             assert t_esc == pytest.approx(26.753) and len(t) == 5369
         else:  # the escaping step is not the first of its chunk
@@ -585,7 +611,59 @@ class TestDriveMatchesOracle:
         s = scalar_scenario(K_gain=2.0, duration=1.5)
         _, (t, Y, escaped, t_esc, _), ref = drive_both(s, compile_model(s), s.sim_config)
         assert escaped and ref[2] and t_esc == ref[3]
-        assert np.array_equal(t, ref[0]) and np.array_equal(Y, ref[1])
+        assert np.array_equal(t, ref[0])
+        assert (np.abs(Y - ref[1]) <= 1e-11 * np.abs(ref[1]).max(axis=0)).all()
+
+
+class TestDriveWithoutStepPolynomials(TestDriveMatchesOracle):
+    """The same checks with STEP_POLY_MAX_DIM = 0: every full pre-horizon step takes the four stages."""
+
+    @pytest.fixture(autouse=True)
+    def no_step_polynomials(self, monkeypatch):
+        monkeypatch.setattr(ptcor.sim, "STEP_POLY_MAX_DIM", 0)
+
+
+BASIS_CASES = [(name, mode) for name in ("example1_rlc", "example2_ccvsi") for mode in PTCOR_MODES]
+
+
+class TestStepBasis:
+    """One RK4 step as a polynomial in its three stage gains, against the four stages."""
+
+    @pytest.fixture(scope="class")
+    def bases(self, bundled_models):
+        out = {}
+        for name, mode in BASIS_CASES:
+            scenario, model = bundled_models[name]
+            op, cfg = _Operator(model, mode, BaselineConstants()), scenario.sim_config
+            out[name, mode] = op, cfg.dt, cfg.guard, op.step_basis(cfg.dt)
+        return out
+
+    def test_dimensions_are_under_the_cap(self, bases):
+        assert all(op.dim <= STEP_POLY_MAX_DIM for op, *_ in bases.values())
+
+    @settings(max_examples=100, deadline=None)
+    @given(case=st.sampled_from(BASIS_CASES), gains=st.tuples(*[st.floats(0.0, 1.0)] * 3),
+           seed=st.integers(0, 2**32 - 1))
+    def test_basis_step_is_the_four_stage_step(self, bases, case, gains, seed):
+        # a full step has dt <= guard/mu(t); the gains range over [0, guard/dt]
+        op, h, guard, B = bases[case]
+        a, b, c = (guard / h * g for g in gains)
+        y = np.random.default_rng(seed).standard_normal(op.dim)
+        k1 = op.stage(a, y)
+        k2 = op.stage(b, y + 0.5 * h * k1)
+        k3 = op.stage(b, y + 0.5 * h * k2)
+        k4 = op.stage(c, y + h * k3)
+        expected = y + (h / 6.0) * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
+        w = np.array([a**i * b**j * c**k for i, j, k in STEP_MONOMIALS])
+        assert np.abs(w @ (B @ y).reshape(12, -1) - expected).max() <= 1e-13 * np.abs(expected).max()
+
+    @pytest.mark.parametrize("case", BASIS_CASES)
+    def test_equal_gains_give_the_step_map(self, bases, case):
+        # past the horizon every stage gain is mu = a
+        op, h, _, B = bases[case]
+        w = np.array([op.schedule.a ** (i + j + k) for i, j, k in STEP_MONOMIALS])
+        R = np.tensordot(w, B.reshape(12, op.dim, op.dim), axes=1)
+        assert np.abs(R - op.step_map(h)).max() <= 1e-13 * np.abs(R).max()
 
 
 class TestPlanProperty:
