@@ -33,18 +33,19 @@ of ``dt``, shrunk before the horizon to ``min(dt, guard/mu)`` (which keeps
 the stiffest eigenvalue times the step inside the RK4 stability region for
 the default guard) and clipped to land on the clamp, the horizon and the
 end; a sample every ``stride`` steps, at each landing and at the end.
-`_drive` walks it with classic explicit RK4 in three kinds of step.  A full
-``dt`` step of an LTI loop (past the horizon, and the asymptotic baseline) is
-y <- R y.  Up to STEP_POLY_MAX_DIM states, a sample interval of m of them is
-y <- R^m y when ||y|| ||R||^m rules out an escape inside it, and a full
-pre-horizon step is y <- w (B y).reshape(12, dim), its polynomial in the three
-stage gains (`_Operator.step_basis`).  Every other step takes the four stages,
-and an interval that may escape is checked step by step.  Only the sampled
-(t, y) are kept, as `Trajectory.y`; every recorded column is derived from them.
+`_drive` walks it with classic explicit RK4 in four kinds of step.  A full
+``dt`` step of an LTI loop (past the horizon, the asymptotic baseline) is
+y <- R y.  Up to STEP_POLY_MAX_DIM states, a full pre-horizon step is a
+polynomial in its stage gains (`step_basis`), a full fixed-time step is
+linear in y and its stage relays (`relay_step`), and the m LTI steps of a
+sample interval are y <- R^m y when ||y|| ||R||^m rules out an escape.  The
+other steps take the four stages of `rhs`.  Only the sampled (t, y) are kept,
+as `Trajectory.y`; every recorded column is derived from them.
 """
 
 from __future__ import annotations
 
+import functools
 import math
 import warnings
 from dataclasses import dataclass, field
@@ -233,26 +234,25 @@ class Trajectory:
     def from_csv(cls, path, mode: str = "unknown") -> "Trajectory":
         with open(path, "r", encoding="utf-8") as fh:
             header = [h.strip() for h in fh.readline().split(",")]
-            rows = [[c.strip() for c in line.split(",")] for line in fh if line.strip()]
+            first = next((line for line in fh if line.strip()), None)
         if header[: len(CSV_FIXED_COLUMNS)] != CSV_FIXED_COLUMNS:
             raise ValueError(f"unrecognized trajectory header: {header[:11]}")
-        if not rows:
+        if first is None:
             raise ValueError(f"{path}: trajectory CSV has a header but no samples")
-        e_names = header[len(CSV_FIXED_COLUMNS):]
+        filled = [bool(c.strip()) for c in first.split(",")]  # as in the first sample, so in every one
+        present, absent = ([i for i, f in enumerate(filled) if f is want] for want in (True, False))
+        if len(filled) != len(header) or absent and absent[-1] >= len(CSV_FIXED_COLUMNS):
+            raise ValueError(f"{path}: the first sample does not fill the columns of the header")
+        load = functools.partial(np.loadtxt, path, delimiter=",", skiprows=1, ndmin=2, encoding="utf-8")
+        values = load(usecols=present)  # an empty field in a float column raises ValueError
+        if absent and (np.char.strip(load(usecols=absent, dtype=str)) != "").any():
+            raise ValueError(f"{path}: a column empty in the first sample is filled in a later one")
+        data, e_names = dict(zip(present, values.T.copy())), header[len(CSV_FIXED_COLUMNS):]
         agents = [int(name.split("_")[1]) for name in e_names]
         dims = [agents.count(i) for i in range(1, max(agents, default=0) + 1)]
-
-        def column(idx: int) -> np.ndarray | None:
-            vals = [r[idx] for r in rows]
-            return None if all(v == "" for v in vals) else np.array([float(v) for v in vals])
-
-        ncol = len(header)
-        data = [column(i) for i in range(ncol)]
-        e = np.column_stack([data[i] for i in range(len(CSV_FIXED_COLUMNS), ncol)]) \
-            if e_names else np.zeros((len(rows), 0))
-        return cls(mode=mode, t=data[0], mu=data[1], e=e, e_norm=data[2], v_tilde_norm=data[3],
-                   x_bar_norm=data[4], x_tilde_norm=data[5], u_tilde_norm=data[6],
-                   phi={k: data[6 + k] for k in (1, 2, 3, 4)}, output_dims=dims)
+        return cls(mode=mode, t=data[0], mu=data[1], e=values[:, len(present) - len(e_names):].copy(),
+                   e_norm=data[2], v_tilde_norm=data[3], x_bar_norm=data[4], x_tilde_norm=data.get(5),
+                   u_tilde_norm=data[6], phi={k: data.get(6 + k) for k in (1, 2, 3, 4)}, output_dims=dims)
 
 
 class ClosedLoopModel:
@@ -309,6 +309,19 @@ def compile_model(scenario) -> ClosedLoopModel:
     gains = build_gain_set(scenario.gain_spec, scenario.agents, regs)
     return ClosedLoopModel(scenario.network, scenario.agents, scenario.exo,
                            gains, regs, scenario.mu_schedule)
+
+
+def _lin(*terms) -> dict:
+    """The sum of scale * form over (scale, form) pairs; a form maps keys to coefficient arrays."""
+    return {e: sum(s * P[e] for s, P in terms if e in P) for e in {e for _, P in terms for e in P}}
+
+
+def _rk4_forms(h: float, y: dict, f) -> dict:
+    """One classic RK4 step of h on forms; f(g, Y) is the derivative at stage g with argument Y."""
+    k = [f(0, y)]
+    for g, s in ((1, h / 2), (2, h / 2), (3, h)):
+        k.append(f(g, _lin((1.0, y), (s, k[-1]))))
+    return _lin((1.0, y), *zip((h / 6, h / 3, h / 3, h / 6), k))
 
 
 def _place(out: np.ndarray, blocks: list) -> np.ndarray:
@@ -431,23 +444,39 @@ class _Operator:
     def step_basis(self, h: float) -> np.ndarray:
         """B with y <- w (B y).reshape(12, dim) one RK4 step of h: at stage gains a = mu(t),
         b = mu(t + h/2), c = mu(t + h) the step is a polynomial in (a, b, c), B stacks its matrix
-        coefficients in STEP_MONOMIALS order and w holds the monomials a^i b^j c^k.  The four stages
-        are RK4's, on polynomials {exponents: coefficient} in place of states."""
-        dim, eye = self.dim, {(0, 0, 0): np.eye(self.dim)}
+        coefficients, the forms {exponents: coefficient}, and w holds the monomials a^i b^j c^k."""
+        def f(g, P):  # (M0 + gain M1) P, the gain a, b, b or c at stage g = 0 .. 3
+            z, g, dim = {e: np.dot(self.M01, C) for e, C in P.items()}, (0, 1, 1, 2)[g], self.dim
+            return _lin((1.0, {e: Z[:dim] for e, Z in z.items()}),
+                        (1.0, {e[:g] + (e[g] + 1,) + e[g + 1:]: Z[dim:] for e, Z in z.items()}))
 
-        def lin(*terms):  # the sum of scale * polynomial over (scale, polynomial) pairs
-            return {e: sum(s * P[e] for s, P in terms if e in P) for e in {e for _, P in terms for e in P}}
-
-        def times(g, P):  # (M0 + gain M1) P, the gain a, b or c for g = 0, 1 or 2
-            z = {e: np.dot(self.M01, C) for e, C in P.items()}
-            return lin((1.0, {e: Z[:dim] for e, Z in z.items()}),
-                       (1.0, {e[:g] + (e[g] + 1,) + e[g + 1:]: Z[dim:] for e, Z in z.items()}))
-
-        k = [times(0, eye)]
-        for g, s in ((1, h / 2), (1, h / 2), (2, h)):
-            k.append(times(g, lin((1.0, eye), (s, k[-1]))))
-        phi = lin((1.0, eye), *zip((h / 6, h / 3, h / 3, h / 6), k))
+        phi = _rk4_forms(h, {(0, 0, 0): np.eye(self.dim)}, f)
         return np.vstack([phi[e] for e in STEP_MONOMIALS])
+
+    def relay_step(self, h: float):
+        """y -> one RK4 step of h on the fixed-time loop y' = M0 y + G rho(W y).  The relay enters only
+        through r_g = [sign z_g; sig(z_g, c4)] at the stage arguments z_g (a and b folded into G), so
+        the step is linear in y and r_1 .. r_4: P y stacks R y and the y parts of z_1 .. z_4, z_g
+        adds D_g r_<g, and the new state is R y + C r.  The forms are {-1: on y, g: on r_g}."""
+        dim, nw, args, Gab = self.dim, len(self.W), [], np.hstack([self.G * self.a, self.G * self.b])
+        def f(g, Y):  # M0 Y + Gab r_g, noting the stage argument Y
+            args.append(Y)
+            return {**{e: np.dot(self.M0, C) for e, C in Y.items()}, g: Gab}
+        phi = _rk4_forms(h, {-1: np.eye(dim)}, f)
+        P, c4 = np.vstack([phi[-1]] + [np.dot(self.W, Y[-1]) for Y in args]), self.c4
+        C, r, py = np.hstack([phi[g] for g in range(4)]), np.empty((4, 2, nw)), np.empty(len(P))  # r[g] = r_g
+        D = [np.dot(self.W, np.hstack([Y[e] for e in range(g)])) if g else None for g, Y in enumerate(args)]
+        stages = list(zip(py[dim:].reshape(4, nw), D, [r[:g].reshape(-1) for g in range(4)], r))
+
+        def step(y):
+            np.dot(P, y, out=py)
+            for z, D_g, r_lo, (sgn, sgp) in stages:  # z_g = (P y)_g + D_g r_<g, then r_g = r[g]
+                if D_g is not None:
+                    z += np.dot(D_g, r_lo)
+                np.sign(z, out=sgn)
+                np.multiply(sgn, np.power(np.abs(z, out=sgp), c4, out=sgp), out=sgp)
+            return np.dot(C, r.reshape(-1)) + py[:dim]
+        return step
 
     def signals(self, t: np.ndarray, Y: np.ndarray) -> dict:
         """Every recorded column of the samples `Y` (S x dim) taken at times `t`."""
@@ -554,13 +583,14 @@ def _drive(op: _Operator, y0: np.ndarray, schedule: MuSchedule, cfg: SimConfig):
     f, (a, b, c) = (op.rhs, stage_t) if op.M1 is None else (op.stage, [mu(schedule, s) for s in stage_t])
     steps, small = np.diff(ends), op.dim <= STEP_POLY_MAX_DIM
     lti = full & (op.W is None) & ((op.M1 is None) | (start >= schedule.horizon))
-    poly = full & ~lti & (op.M1 is not None) & small
+    poly, relay = full & ~lti & (op.M1 is not None) & small, full & (op.W is not None) & small
     R, B = (op.step_map(cfg.dt) if lti.any() else None), (op.step_basis(cfg.dt) if poly.any() else None)
+    step = op.relay_step(cfg.dt) if relay.any() else None if R is None else R.dot  # full steps of dt
     # sample intervals of LTI steps (reduceat ANDs each nonempty one); ||y|| ||R||^m bounds ||R^j y||
     jump = small & (steps > 1) & np.logical_and.reduceat(np.r_[lti, True], ends[:-1])
     Rm = {m: np.linalg.matrix_power(R, m) for m in set(steps[jump].tolist())}
     norm_R, jump = (np.maximum(1.0, np.abs(R).sum(axis=1).max()) if Rm else 1.0), jump.tolist()
-    kind = (lti * np.int8(2) + poly).tolist()  # 2: y <- R y, 1: the polynomial, 0: the four stages
+    kind = ((lti | relay) * np.int8(2) + poly).tolist()  # 2: step(y), 1: the polynomial, 0: the four stages
     Y, rows, y, w, w0 = np.empty((len(ts), op.dim)), np.empty((max(steps, default=0), op.dim)), y0, [], 0
     with np.errstate(over="ignore", invalid="ignore"):
         for j, (lo, hi) in enumerate(zip(ends[:-1].tolist(), ends[1:].tolist())):
@@ -569,7 +599,7 @@ def _drive(op: _Operator, y0: np.ndarray, schedule: MuSchedule, cfg: SimConfig):
                 continue
             for i in range(lo, hi):
                 if kind[i] == 2:
-                    y = np.dot(R, y)
+                    y = step(y)
                 elif kind[i] == 1:
                     if i >= w0 + len(w):  # w: the monomials a^i b^j c^k of steps w0 .. w0 + 1023
                         abc = np.stack([g[i:i + 1024] for g in (a, b, c)], axis=-1)

@@ -3,7 +3,7 @@ from dataclasses import replace
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 import ptcor.sim
@@ -508,12 +508,27 @@ class TestTrajectoryCsv:
         assert path.read_bytes() == ref.read_bytes()
 
     def test_partly_empty_column_rejected(self, tmp_path):
+        # x_tilde filled and then empty, and empty and then filled
         path = tmp_path / "run.csv"
-        path.write_text(", ".join(CSV_FIXED_COLUMNS) + "\n"
-                        "0, 1, 1, 1, 1, 1, 1, , , , \n"
-                        "1, 1, 1, 1, 1, , 1, , , , \n")
-        with pytest.raises(ValueError):
-            Trajectory.from_csv(path)
+        for x_tilde in (["1", ""], ["", "1"]):
+            path.write_text(", ".join(CSV_FIXED_COLUMNS) + "\n" + "".join(
+                f"{t}, 1, 1, 1, 1, {x}, 1, , , , \n" for t, x in enumerate(x_tilde)))
+            with pytest.raises(ValueError):
+                Trajectory.from_csv(path)
+
+    @pytest.mark.parametrize("mode", PTCOR_MODES)
+    def test_values_parse_as_python_floats(self, tmp_path, rlc_model, mode):
+        # every field of every row, absent columns as None, against a row-by-row float() parse
+        scenario, model = rlc_model
+        path = tmp_path / "run.csv"
+        integrate(scenario, SimConfig(mode=mode, dt=1e-3, duration=2.3, stride=7), model=model).to_csv(path)
+        rows = [[c.strip() for c in line.split(",")] for line in path.read_text().splitlines()[1:]]
+        cols = [None if not r0 else np.array([float(r[i]) for r in rows]) for i, r0 in enumerate(rows[0])]
+        back = Trajectory.from_csv(path, mode=mode)
+        fixed = [back.t, back.mu, back.e_norm, back.v_tilde_norm, back.x_bar_norm, back.x_tilde_norm,
+                 back.u_tilde_norm] + [back.phi[k] for k in (1, 2, 3, 4)]
+        for got, want in zip(fixed + list(back.e.T), cols, strict=True):
+            assert (got is None) if want is None else np.array_equal(got, want)
 
     def test_header_format(self, tmp_path, rlc_model):
         scenario, model = rlc_model
@@ -664,6 +679,48 @@ class TestStepBasis:
         w = np.array([op.schedule.a ** (i + j + k) for i, j, k in STEP_MONOMIALS])
         R = np.tensordot(w, B.reshape(12, op.dim, op.dim), axes=1)
         assert np.abs(R - op.step_map(h)).max() <= 1e-13 * np.abs(R).max()
+
+
+class TestRelayBasis:
+    """One RK4 step of the fixed-time relay as linear algebra on y and its four stage relays,
+    against the four stages of op.rhs."""
+
+    @pytest.fixture(scope="class")
+    def relays(self, bundled_models):
+        out = {}
+        for name, (scenario, model) in bundled_models.items():
+            op = _Operator(model, "baseline_fixed_time", BaselineConstants())
+            out.update({(name, h): (op, op.relay_step(h)) for h in (1e-4, 5e-4, 1e-3)})
+        return out
+
+    def test_dimensions_are_under_the_cap(self, relays):
+        assert all(op.dim <= STEP_POLY_MAX_DIM for op, _ in relays.values())
+
+    @settings(max_examples=100, deadline=None)
+    @given(case=st.sampled_from([(name, h) for name in ("example1_rlc", "example2_ccvsi")
+                                 for h in (1e-4, 5e-4, 1e-3)]),
+           scale=st.floats(-2.0, 2.0).map(lambda e: 10**e), seed=st.integers(0, 2**32 - 1))
+    def test_relay_step_is_the_four_stage_step(self, relays, case, scale, seed):
+        op, step = relays[case]
+        h, t, y = case[1], op.schedule.horizon, scale * np.random.default_rng(seed).standard_normal(op.dim)
+        k1 = op.rhs(t, y)
+        k2 = op.rhs(t, y + 0.5 * h * k1)
+        k3 = op.rhs(t, y + 0.5 * h * k2)
+        k4 = op.rhs(t, y + h * k3)
+        # away from the relay's switching surfaces, where rounding cannot flip a sign
+        args = [y, y + 0.5 * h * k1, y + 0.5 * h * k2, y + h * k3]
+        assume(min(np.abs(op.W @ x).min() for x in args) >= 1e-6)
+        expected = y + (h / 6.0) * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
+        assert np.abs(step(y) - expected).max() <= 1e-12 * np.abs(expected).max()
+
+    @pytest.mark.parametrize("cap", [STEP_POLY_MAX_DIM, 0])
+    def test_drive_takes_the_relay_step_under_the_cap(self, monkeypatch, cap):
+        built, relay_step = [], _Operator.relay_step
+        monkeypatch.setattr(ptcor.sim, "STEP_POLY_MAX_DIM", cap)
+        monkeypatch.setattr(_Operator, "relay_step", lambda op, h: built.append(h) or relay_step(op, h))
+        s = scalar_scenario(mode="baseline_fixed_time")
+        integrate(s, s.sim_config)
+        assert built == ([s.sim_config.dt] if cap else [])
 
 
 class TestPlanProperty:
