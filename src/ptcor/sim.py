@@ -33,14 +33,16 @@ of ``dt``, shrunk before the horizon to ``min(dt, guard/mu)`` (which keeps
 the stiffest eigenvalue times the step inside the RK4 stability region for
 the default guard) and clipped to land on the clamp, the horizon and the
 end; a sample every ``stride`` steps, at each landing and at the end.
-`_drive` walks it with classic explicit RK4 in four kinds of step.  A full
-``dt`` step of an LTI loop (past the horizon, the asymptotic baseline) is
-y <- R y.  Up to STEP_POLY_MAX_DIM states, a full pre-horizon step is a
-polynomial in its stage gains (`step_basis`), a full fixed-time step is
-linear in y and its stage relays (`relay_step`), and the m LTI steps of a
-sample interval are y <- R^m y when ||y|| ||R||^m rules out an escape.  The
-other steps take the four stages of `rhs`.  Only the sampled (t, y) are kept,
-as `Trajectory.y`; every recorded column is derived from them.
+`_drive` walks it with classic explicit RK4.  A full ``dt`` LTI step (past
+the horizon, the asymptotic baseline) is y <- R y; up to STEP_POLY_MAX_DIM
+states a full pre-horizon step is a polynomial in its stage gains
+(`step_basis`), and up to RELAY_STEP_MAX_DIM a full fixed-time step is linear
+in y and its stage relays (`relay_step`).  The m steps of a sample interval
+are one product when a bound on its partial products rules out an escape:
+R^m for LTI steps, a power series in u = mu(t) dt (`interval_series`) for
+pre-horizon steps with uncapped gains.  Other steps take the four stages of
+`rhs`; `Trajectory.stats` counts each kind.  Only the sampled (t, y) are
+kept, as `Trajectory.y`; every recorded column is derived from them.
 """
 
 from __future__ import annotations
@@ -66,6 +68,9 @@ MAX_STEPS = 10**7  # a plan holds a few numbers per step; 200x a bundled run
 MIN_DT_ULPS = 10**6  # float spacings of |t| in dt: a step moves the clock by dt to 5e-7 relative
 STEP_MONOMIALS = [(i, j, k) for i in (0, 1) for j in (0, 1, 2) for k in (0, 1)]  # a^i b^j c^k
 STEP_POLY_MAX_DIM = 96  # above it B, and the R^m of a sample interval, cost more than they save
+RELAY_STEP_MAX_DIM = 88  # relay_step vs four stages at h = 1e-3: 58-79/100 us at dim 86, 79-108/69-98 at 92
+SERIES_DEGREE, SERIES_TAIL = 20, 1e-16  # the interval series is cut after u^20, its tail below 1e-16 ||y||
+SERIES_MIN_INTERVALS = 6  # x dim: its build (8-29 ms at dim 26-52) is repaid after 3.6-5.1 dim intervals
 
 MODES = ("state_fb", "output_fb", "baseline_asymptotic", "baseline_fixed_time")
 PTCOR_MODES = ("state_fb", "output_fb")
@@ -204,6 +209,7 @@ class Trajectory:
     finite_escape: bool = False
     escape_time: float | None = None
     diagnostic: str = ""
+    stats: dict = field(default_factory=dict)  # what the integrator did: steps and intervals by kind
 
     def __post_init__(self):
         if len(self.t) > 1 and not (np.diff(self.t) > 0).all():
@@ -244,9 +250,14 @@ class Trajectory:
         if len(filled) != len(header) or absent and absent[-1] >= len(CSV_FIXED_COLUMNS):
             raise ValueError(f"{path}: the first sample does not fill the columns of the header")
         load = functools.partial(np.loadtxt, path, delimiter=",", skiprows=1, ndmin=2, encoding="utf-8")
-        values = load(usecols=present)  # an empty field in a float column raises ValueError
-        if absent and (np.char.strip(load(usecols=absent, dtype=str)) != "").any():
-            raise ValueError(f"{path}: a column empty in the first sample is filled in a later one")
+        try:
+            with warnings.catch_warnings():  # numpy's notice that a blank line is skipped
+                warnings.filterwarnings("ignore", "Input line .* contained no data")
+                values = load(usecols=present)  # an empty field in a float column raises ValueError
+                if absent and (np.char.strip(load(usecols=absent, dtype=str)) != "").any():
+                    raise ValueError("a column empty in the first sample is filled in a later one")
+        except ValueError as err:
+            raise ValueError(f"{path}: {err}") from err
         data, e_names = dict(zip(present, values.T.copy())), header[len(CSV_FIXED_COLUMNS):]
         agents = [int(name.split("_")[1]) for name in e_names]
         dims = [agents.count(i) for i in range(1, max(agents, default=0) + 1)]
@@ -273,31 +284,19 @@ class ClosedLoopModel:
                 raise ValueError(f"agents[{i}] has exosystem dimension {a.q}, expected {q}")
         self.network, self.agents, self.exo = network, agents, exo
         self.gains, self.regs, self.schedule = gains, regs, schedule
-        self.N, self.q = N, q
-        self.p_i = [a.p for a in agents]
-        self.nx = sum(a.n for a in agents)
+        self.N, self.q, self.p_i, self.nx = N, q, [a.p for a in agents], sum(a.n for a in agents)
         self.H = partition_laplacian(network).H
         self.Hq = np.kron(self.H, np.eye(q))
 
         bd = scipy.linalg.block_diag
-        self.A_blk = bd(*[a.A for a in agents])
-        self.B_blk = bd(*[a.B for a in agents])
-        self.C_blk = bd(*[a.C for a in agents])
-        self.D_blk = bd(*[a.D for a in agents])
-        self.Cm_blk = bd(*[a.Cm for a in agents])
-        self.E_blk = bd(*[a.E for a in agents])          # acts on stacked per-agent v
-        self.Fm_blk = bd(*[a.Fm for a in agents])
+        self.A_blk, self.B_blk, self.C_blk, self.D_blk, self.Cm_blk, self.E_blk, self.Fm_blk = (
+            bd(*[getattr(a, k) for a in agents]) for k in ("A", "B", "C", "D", "Cm", "E", "Fm"))
         self.X_blk = bd(*[r.X for r in regs])
-        self.X_stack = np.vstack([r.X for r in regs])    # acts on v0
-        self.Kbar_blk = bd(*gains.Kbar)
-        self.Ktil_blk = bd(*gains.Ktil)
-        self.K_blk = bd(*gains.K)
+        self.X_stack = np.vstack([r.X for r in regs])    # acts on v0; E_blk acts on stacked per-agent v
+        self.Kbar_blk, self.Ktil_blk, self.K_blk = bd(*gains.Kbar), bd(*gains.Ktil), bd(*gains.K)
         self.S0_blk = np.kron(np.eye(N), exo.S0)
-        if gains.L is not None and gains.Ltil is not None:
-            self.L_blk = bd(*gains.L)
-            self.Ltil_blk = bd(*gains.Ltil)
-        else:
-            self.L_blk = self.Ltil_blk = None
+        has_L = gains.L is not None and gains.Ltil is not None
+        self.L_blk, self.Ltil_blk = (bd(*gains.L), bd(*gains.Ltil)) if has_L else (None, None)
 
 
 def compile_model(scenario) -> ClosedLoopModel:
@@ -453,6 +452,36 @@ class _Operator:
         phi = _rk4_forms(h, {(0, 0, 0): np.eye(self.dim)}, f)
         return np.vstack([phi[e] for e in STEP_MONOMIALS])
 
+    def interval_series(self, h: float, m: int) -> np.ndarray:
+        """P with y <- w (P y).reshape(K + 1, dim) the m full RK4 steps of h from a time t with uncapped
+        stage gains, w = u^0 .. u^K, u = mu(t) h.  As h mu(t + tau h) = u / (1 - tau u) = sum tau^n u^(n+1),
+        the steps run on power series in u cut after u^K, a block of identity columns at a time."""
+        dim, K = self.dim, SERIES_DEGREE
+        e, P = np.arange(K + 1)[:, None] - np.arange(K + 1) - 1, np.zeros((K + 1, dim, dim))
+        # T[tau][d, j] = tau^(d-1-j) / h for j < d: the u-coefficients of mu(t + tau h) Z from those of Z
+        T = {tau: np.where(e >= 0, tau ** e.clip(0) / h, 0.0) for tau in np.arange(2 * m + 1) / 2}
+        def f(tau, X):  # (M0 + gain M1) X on the coefficients X[:, d] of u^d
+            Z = np.dot(self.M01, X.reshape(dim, -1)).reshape(2, dim, K + 1, -1)
+            return Z[0] + np.matmul(T[tau], Z[1])
+        for c in range(0, dim, 16):
+            X = np.zeros((dim, K + 1, min(16, dim - c)))
+            X[c:c + 16, 0] = np.eye(X.shape[2])
+            for i in range(m):
+                X = _rk4_forms(h, {0: X}, lambda g, Y: {0: f(i + (0, 0.5, 0.5, 1)[g], Y[0])})[0]
+            P[:, :, c:c + 16] = X.transpose(1, 0, 2)
+        return P.reshape(-1, dim)
+
+    def series_reach(self, h: float, m: int):
+        """(u_d, bound): cut after u^d, the series of `interval_series` is within SERIES_TAIL of the m steps
+        for u <= u_d[d], and bound(u) bounds every partial product.  By Cauchy estimates on |u| = r < 1/m,
+        where a stage matrix has norm <= h alpha + beta r / (1 - m r), alpha = ||M0||, beta = ||M1||."""
+        ah, b = m * h * np.abs(self.M0).sum(axis=1).max(), m * np.abs(self.M1).sum(axis=1).max()
+        log_bound = lambda r: ah + b * r / (1 - m * r)
+        r, x = np.linspace(0, 1 / m, 102)[1:-1, None], np.linspace(0, 1, 102)[1:-1]  # u = r x
+        fit = log_bound(r) - np.log1p(-x) - math.log(SERIES_TAIL)  # log(tail / SERIES_TAIL) - (d + 1) log x
+        u_d = [(r * x)[fit + (d + 1) * np.log(x) <= 0].max(initial=0.0) for d in range(SERIES_DEGREE + 1)]
+        return np.array(u_d), lambda u: np.exp(log_bound(u))
+
     def relay_step(self, h: float):
         """y -> one RK4 step of h on the fixed-time loop y' = M0 y + G rho(W y).  The relay enters only
         through r_g = [sign z_g; sig(z_g, c4)] at the stage arguments z_g (a and b folded into G), so
@@ -486,9 +515,7 @@ class _Operator:
             out = Y @ M0.T
             return out if M1 is None else out + mus[:, None] * (Y @ M1.T)
 
-        def norm(block) -> np.ndarray:
-            return np.linalg.norm(block, axis=1)
-
+        norm = functools.partial(np.linalg.norm, axis=1)
         e = scheduled(self.E0, self.E1)
         ut = scheduled(self.U0, self.U1)
         if self.W is not None:
@@ -497,13 +524,9 @@ class _Operator:
             ut = ut + relay @ self.model.K_blk.T
             e = e + relay @ (self.model.D_blk @ self.model.K_blk).T
         phi = dict.fromkeys((1, 2, 3, 4))
-        if self.guarded:
-            phi[1] = mus * norm(Y @ self.chi.T)
-            if self.s_xt is None:
-                phi[2] = mus * norm(Y @ self.track.T)
-            else:
-                phi[3] = mus * norm(Y @ self.innov.T)
-                phi[4] = mus * norm(Y @ self.track.T)
+        if self.guarded:  # the tracking error is phi2 under state feedback, phi4 with the local observer
+            rows = {2: self.track} if self.s_xt is None else {3: self.innov, 4: self.track}
+            phi.update({k: mus * norm(Y @ M.T) for k, M in {1: self.chi, **rows}.items()})
         return dict(
             mu=mus, e=e, e_norm=norm(e), v_tilde_norm=norm(Y[:, self.s_vt]),
             x_bar_norm=norm(Y[:, self.s_xb]),
@@ -576,26 +599,48 @@ def _plan(schedule: MuSchedule, cfg: SimConfig, guarded: bool):
 
 
 def _drive(op: _Operator, y0: np.ndarray, schedule: MuSchedule, cfg: SimConfig):
-    """Walk the planned steps.  Returns (times, samples, escaped, escape_time, diagnostic)."""
+    """Walk the planned steps.  Returns (times, samples, escaped, escape_time, diagnostic, stats)."""
     start, size, full, samples = _plan(schedule, cfg, op.guarded)
     ts, ends = np.array([s for s, _ in samples]), np.r_[0, [k for _, k in samples]]
     stage_t = (start, start + 0.5 * size, start + size)  # the times of the four RK4 stages
     f, (a, b, c) = (op.rhs, stage_t) if op.M1 is None else (op.stage, [mu(schedule, s) for s in stage_t])
     steps, small = np.diff(ends), op.dim <= STEP_POLY_MAX_DIM
     lti = full & (op.W is None) & ((op.M1 is None) | (start >= schedule.horizon))
-    poly, relay = full & ~lti & (op.M1 is not None) & small, full & (op.W is not None) & small
+    poly = full & ~lti & (op.M1 is not None) & small
+    relay = full & (op.W is not None) & (op.dim <= min(STEP_POLY_MAX_DIM, RELAY_STEP_MAX_DIM))
     R, B = (op.step_map(cfg.dt) if lti.any() else None), (op.step_basis(cfg.dt) if poly.any() else None)
     step = op.relay_step(cfg.dt) if relay.any() else None if R is None else R.dot  # full steps of dt
-    # sample intervals of LTI steps (reduceat ANDs each nonempty one); ||y|| ||R||^m bounds ||R^j y||
-    jump = small & (steps > 1) & np.logical_and.reduceat(np.r_[lti, True], ends[:-1])
-    Rm = {m: np.linalg.matrix_power(R, m) for m in set(steps[jump].tolist())}
-    norm_R, jump = (np.maximum(1.0, np.abs(R).sum(axis=1).max()) if Rm else 1.0), jump.tolist()
-    kind = ((lti | relay) * np.int8(2) + poly).tolist()  # 2: step(y), 1: the polynomial, 0: the four stages
+    # A sample interval of more than one step of one kind (reduceat ANDs each nonempty one) is one product
+    # while ||y|| norm[j] rules out an escape: R^m for LTI steps, and for polynomial steps with uncapped
+    # gains, when enough intervals repay its build, `interval_series` cut to the terms its tail needs
+    whole = lambda kind: (steps > 1) & np.logical_and.reduceat(np.r_[kind, True], ends[:-1])
+    jump, u = small & whole(lti), np.r_[a, 0.0][ends[:-1]] * cfg.dt
+    series = whole(poly) & (schedule.horizon - np.r_[0.0, stage_t[2]][ends[1:]] > schedule.eps)
+    norm, terms, Rm, Pm = np.full(len(steps), np.inf), np.zeros(len(steps), int), {}, {}  # inf: walked
+    for m in set(steps[jump].tolist()):  # ||y|| max(1, ||R||)^m bounds ||R^j y||
+        Rm[m], norm[jump & (steps == m)] = np.linalg.matrix_power(R, m), max(1, abs(R).sum(axis=1).max()) ** m
+    for m in set(steps[series].tolist()):
+        u_d, bound = op.series_reach(cfg.dt, m)
+        on, series[steps == m] = np.flatnonzero(series & (steps == m) & (u <= u_d[-1])), False
+        if len(on) >= SERIES_MIN_INTERVALS * op.dim:
+            series[on], Pm[m] = True, op.interval_series(cfg.dt, m)
+            norm[on], terms[on] = bound(u[on]), np.searchsorted(u_d, u[on]) + 1
+    powers = np.arange(SERIES_DEGREE + 1)
+    kinds = (lti | relay) * np.int8(2) + poly  # 2: step(y), 1: the polynomial, 0: the four stages
+    kind, taken, product = kinds.tolist(), np.zeros(len(steps), bool), (norm < np.inf).tolist()
+    def stats(n):  # what the first n sample intervals took
+        walked = np.bincount(kinds[:ends[n]][np.repeat(~taken[:n], steps[:n])], minlength=3).tolist()
+        s, r = taken & series, taken & jump
+        return dict(series_intervals=int(s.sum()), series_steps=int(steps[s].sum()),
+                    jump_intervals=int(r.sum()), jump_steps=int(steps[r].sum()),
+                    poly_steps=walked[1], map_steps=walked[2], stage_steps=walked[0])
     Y, rows, y, w, w0 = np.empty((len(ts), op.dim)), np.empty((max(steps, default=0), op.dim)), y0, [], 0
     with np.errstate(over="ignore", invalid="ignore"):
         for j, (lo, hi) in enumerate(zip(ends[:-1].tolist(), ends[1:].tolist())):
-            if jump[j] and np.abs(y).max() * norm_R ** (hi - lo) <= 0.5 * ESCAPE_NORM:
-                y = Y[j] = np.dot(Rm[hi - lo], y)
+            if product[j] and np.abs(y).max() * norm[j] <= 0.5 * ESCAPE_NORM:
+                n, taken[j] = terms[j], True  # n terms of the series, or none for R^m
+                y = Y[j] = np.dot(u[j] ** powers[:n], np.dot(Pm[hi - lo][:n * op.dim], y).reshape(n, -1)) \
+                    if n else np.dot(Rm[hi - lo], y)
                 continue
             for i in range(lo, hi):
                 if kind[i] == 2:
@@ -618,9 +663,9 @@ def _drive(op: _Operator, y0: np.ndarray, schedule: MuSchedule, cfg: SimConfig):
             if not ok.all():
                 t_esc = float(stage_t[2][lo + int(ok.argmin())])
                 diag = f"finite-escape detected at t = {t_esc:.9g} (state norm > {ESCAPE_NORM:g})"
-                return ts[:j], Y[:j], True, t_esc, diag
+                return ts[:j], Y[:j], True, t_esc, diag, stats(j + 1)
             Y[j] = y
-    return ts, Y, False, None, ""
+    return ts, Y, False, None, "", stats(len(steps))
 
 
 def integrate(scenario, config: SimConfig | None = None,
@@ -647,7 +692,7 @@ def integrate(scenario, config: SimConfig | None = None,
     op = _Operator(model, cfg.mode, cfg.baseline)
     y0 = op.initial_state(scenario.exo.v0_init, scenario.v_init,
                           scenario.x_init, scenario.xhat_init)
-    ts, Y, escaped, t_esc, diag = _drive(op, y0, sched, cfg)
-    return Trajectory(mode=cfg.mode, t=ts, output_dims=list(model.p_i), y=Y,
+    ts, Y, escaped, t_esc, diag, stats = _drive(op, y0, sched, cfg)
+    return Trajectory(mode=cfg.mode, t=ts, output_dims=list(model.p_i), y=Y, stats=stats,
                       finite_escape=escaped, escape_time=t_esc, diagnostic=diag,
                       **op.signals(ts, Y))

@@ -193,6 +193,8 @@ def drive(op, y0: np.ndarray, schedule: MuSchedule, cfg: SimConfig):
             h = boundary - t
         if h <= 0:
             break
+        if t + h == t:
+            raise ValueError(f"guard: a step of {h:.3g} does not advance t = {t:.17g}")
         k1 = rhs(t, y)
         k2 = rhs(t + 0.5 * h, y + 0.5 * h * k1)
         k3 = rhs(t + 0.5 * h, y + 0.5 * h * k2)

@@ -1,3 +1,4 @@
+import math
 import warnings
 from dataclasses import replace
 
@@ -16,6 +17,8 @@ from ptcor.sim import (
     MAX_STEPS,
     MODES,
     PTCOR_MODES,
+    RELAY_STEP_MAX_DIM,
+    SERIES_DEGREE,
     STEP_MONOMIALS,
     STEP_POLY_MAX_DIM,
     BaselineConstants,
@@ -148,6 +151,16 @@ class TestSimConfig:
         sched = MuSchedule(T=1.0, mu_cap=1e16)
         with pytest.raises(ValueError, match="guard: a step of .* does not advance t"):
             _plan(sched, SimConfig(mode="state_fb", dt=1e-3, guard=0.01, duration=1.5), guarded=True)
+
+    def test_oracle_rejects_a_guard_step_that_does_not_advance_t(self):
+        # the reference loop stops with the plan's error instead of stepping in place for ever
+        s = scalar_scenario()
+        s.mu_schedule = MuSchedule(T=1.0, mu_cap=1e16)
+        op = _Operator(compile_model(s), "state_fb", BaselineConstants())
+        y0 = op.initial_state(s.exo.v0_init, s.v_init, s.x_init, s.xhat_init)
+        cfg = SimConfig(mode="state_fb", dt=1e-3, guard=0.01, duration=1.5)
+        with pytest.raises(ValueError, match="guard: a step of .* does not advance t"):
+            drive(op, y0, s.mu_schedule, cfg)
 
 
 def test_sig_definition():
@@ -507,6 +520,21 @@ class TestTrajectoryCsv:
                    comments="", header=", ".join(CSV_FIXED_COLUMNS + traj.e_columns()), encoding="utf-8")
         assert path.read_bytes() == ref.read_bytes()
 
+    def test_unparsable_cell_names_the_file(self, tmp_path):
+        path = tmp_path / "bad_cell.csv"
+        path.write_text(", ".join(CSV_FIXED_COLUMNS + ["e_1_1"]) + "\n0, 1, 1, 1, 1, , 1, 1, 1, , , x\n")
+        with pytest.raises(ValueError, match="bad_cell.csv: could not convert string"):
+            Trajectory.from_csv(path)
+
+    def test_blank_line_between_samples_is_skipped_quietly(self, tmp_path):
+        path = tmp_path / "run.csv"
+        path.write_text(", ".join(CSV_FIXED_COLUMNS + ["e_1_1"]) + "\n0, 1, 1, 1, 1, , 1, 1, 1, , , 1\n\n"
+                        "0.5, 2, 1, 1, 1, , 1, 1, 1, , , 3\n")
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            back = Trajectory.from_csv(path)
+        assert back.t.tolist() == [0.0, 0.5] and back.e[:, 0].tolist() == [1.0, 3.0]
+
     def test_partly_empty_column_rejected(self, tmp_path):
         # x_tilde filled and then empty, and empty and then filled
         path = tmp_path / "run.csv"
@@ -556,7 +584,7 @@ def bundled_models():
 def drive_both(scenario, model, cfg):
     op = _Operator(model, cfg.mode, cfg.baseline)
     y0 = op.initial_state(scenario.exo.v0_init, scenario.v_init, scenario.x_init, scenario.xhat_init)
-    return op, _drive(op, y0, scenario.mu_schedule, cfg), drive(op, y0, scenario.mu_schedule, cfg)
+    return op, _drive(op, y0, scenario.mu_schedule, cfg)[:5], drive(op, y0, scenario.mu_schedule, cfg)
 
 
 class TestDriveMatchesOracle:
@@ -638,6 +666,15 @@ class TestDriveWithoutStepPolynomials(TestDriveMatchesOracle):
         monkeypatch.setattr(ptcor.sim, "STEP_POLY_MAX_DIM", 0)
 
 
+class TestDriveWithoutIntervalSeries(TestDriveMatchesOracle):
+    """The same checks with the interval series never built: every sample interval of full
+    pre-horizon steps is walked step by step."""
+
+    @pytest.fixture(autouse=True)
+    def no_interval_series(self, monkeypatch):
+        monkeypatch.setattr(ptcor.sim, "SERIES_MIN_INTERVALS", math.inf)
+
+
 BASIS_CASES = [(name, mode) for name in ("example1_rlc", "example2_ccvsi") for mode in PTCOR_MODES]
 
 
@@ -694,7 +731,7 @@ class TestRelayBasis:
         return out
 
     def test_dimensions_are_under_the_cap(self, relays):
-        assert all(op.dim <= STEP_POLY_MAX_DIM for op, _ in relays.values())
+        assert all(op.dim <= min(STEP_POLY_MAX_DIM, RELAY_STEP_MAX_DIM) for op, _ in relays.values())
 
     @settings(max_examples=100, deadline=None)
     @given(case=st.sampled_from([(name, h) for name in ("example1_rlc", "example2_ccvsi")
@@ -721,6 +758,112 @@ class TestRelayBasis:
         s = scalar_scenario(mode="baseline_fixed_time")
         integrate(s, s.sim_config)
         assert built == ([s.sim_config.dt] if cap else [])
+
+
+    def test_drive_takes_four_stages_above_the_break_even(self, monkeypatch):
+        # every full step of a loop larger than RELAY_STEP_MAX_DIM takes the four stages
+        s = scalar_scenario(mode="baseline_fixed_time")
+        assert integrate(s).stats["map_steps"] > 0
+        monkeypatch.setattr(ptcor.sim, "RELAY_STEP_MAX_DIM", 3)  # the scalar loop has 4 states
+        monkeypatch.setattr(_Operator, "relay_step", lambda op, h: pytest.fail("relay step built"))
+        stats, planned = integrate(s).stats, len(_plan(s.mu_schedule, s.sim_config, False)[0])
+        assert stats["map_steps"] == 0 and stats["stage_steps"] == planned
+
+
+def rk4_steps(op, h, m, u, y):
+    """m four-stage RK4 steps of h from a time with mu = u / h, at the stage gains mu / (1 - tau u)."""
+    for i in range(m):
+        ga, gb, gc = (u / h / (1.0 - tau * u) for tau in (i, i + 0.5, i + 1))
+        k1 = op.stage(ga, y)
+        k2 = op.stage(gb, y + 0.5 * h * k1)
+        k3 = op.stage(gb, y + 0.5 * h * k2)
+        k4 = op.stage(gc, y + h * k3)
+        y = y + (h / 6.0) * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
+    return y
+
+
+class TestIntervalSeries:
+    """The m RK4 steps of a sample interval as one power series in u = mu(t) dt, against m four-stage
+    steps, and the sample intervals `_drive` takes as that product."""
+
+    @pytest.fixture(scope="class")
+    def series(self, bundled_models):
+        out = {}
+        for name, mode in BASIS_CASES:
+            scenario, model = bundled_models[name]
+            op, h = _Operator(model, mode, BaselineConstants()), scenario.sim_config.dt
+            for m in (1, 3, 10):
+                out[name, mode, m] = op, h, op.interval_series(h, m), op.series_reach(h, m)
+        return out
+
+    @settings(max_examples=100, deadline=None)
+    @given(case=st.sampled_from(BASIS_CASES), m=st.sampled_from([1, 3, 10]), frac=st.floats(0.0, 1.0),
+           seed=st.integers(0, 2**32 - 1))
+    def test_series_is_m_four_stage_steps(self, series, case, m, frac, seed):
+        op, h, P, (u_d, bound) = series[(*case, m)]
+        u = frac * u_d[-1]
+        y = np.random.default_rng(seed).standard_normal(op.dim)
+        expected = rk4_steps(op, h, m, u, y)
+        d = int(np.searchsorted(u_d, u))  # the degree _drive cuts the series at
+        for deg in (d, SERIES_DEGREE):
+            got = (u ** np.arange(deg + 1)) @ (P[:(deg + 1) * op.dim] @ y).reshape(deg + 1, -1)
+            assert np.abs(got - expected).max() <= 1e-13 * np.abs(expected).max()
+        assert np.abs(expected).max() <= bound(u) * np.abs(y).max()
+
+    def test_reach_grows_with_the_degree_and_shrinks_with_m(self, series):
+        for name, mode in BASIS_CASES:
+            reach = [series[name, mode, m][3][0] for m in (1, 3, 10)]
+            assert all((np.diff(u_d) >= 0).all() and u_d[-1] * m < 1 for u_d, m in zip(reach, (1, 3, 10)))
+            assert reach[0][-1] > reach[1][-1] > reach[2][-1] > 0
+
+    @pytest.mark.parametrize("cap", [1.0, 1.0 + 1e-12, 10.0, 1e6])
+    def test_capped_stage_gains_never_take_the_series(self, monkeypatch, cap):
+        # with mu_cap T = 1 the clamp is at t0, so every step before the horizon has capped gains;
+        # a series in u = mu dt with the uncapped 1/(T + t0 - t) would walk off the oracle
+        monkeypatch.setattr(ptcor.sim, "SERIES_MIN_INTERVALS", 0)
+        s = scalar_scenario(mode="output_fb", duration=2.0)
+        s.mu_schedule = MuSchedule(T=1.0, mu_cap=cap)
+        cfg = replace(s.sim_config, dt=0.0625 / 4, stride=4)
+        _, (t, Y, *_), ref = drive_both(s, compile_model(s), cfg)
+        assert np.array_equal(t, ref[0])
+        assert (np.abs(Y - ref[1]) <= 1e-12 * np.abs(ref[1]).max(axis=0)).all()
+        stats = integrate(s, cfg).stats
+        assert (stats["series_intervals"] > 0) == (cap > 2.0)
+
+
+class TestRunStats:
+    """`Trajectory.stats`: what each phase of `_drive` did."""
+
+    @pytest.mark.parametrize("name", ["example1_rlc", "example2_ccvsi"])
+    @pytest.mark.parametrize("mode", PTCOR_MODES)
+    def test_bundled_counts_add_up_and_repeat(self, bundled_models, name, mode):
+        scenario, model = bundled_models[name]
+        cfg = replace(scenario.sim_config, mode=mode)
+        stats = integrate(scenario, cfg, model=model).stats
+        planned = len(_plan(scenario.mu_schedule, cfg, True)[0])
+        assert sum(stats[k] for k in ("series_steps", "jump_steps", "poly_steps", "map_steps",
+                                      "stage_steps")) == planned
+        assert integrate(scenario, cfg, model=model).stats == stats
+        # ex1 covers 1976 of its 2005 pre-horizon intervals by the series, ex2 982 or 983 of 1005
+        assert stats["series_intervals"] >= (1900 if name == "example1_rlc" else 950)
+        assert stats["series_steps"] == 10 * stats["series_intervals"]
+
+    @pytest.mark.parametrize("mode", PTCOR_MODES)
+    def test_counts_add_up_on_an_escape(self, mode):
+        s = scalar_scenario(K_gain=2.0, mode=mode, duration=1.5)
+        traj = integrate(s)
+        assert traj.finite_escape
+        assert set(traj.stats) == {"series_intervals", "series_steps", "jump_intervals", "jump_steps",
+                                   "poly_steps", "map_steps", "stage_steps"}
+        # every step up to the end of the sample interval the escape was found in
+        reach = next(k for tk, k in _plan(s.mu_schedule, s.sim_config, True)[3] if tk >= traj.escape_time)
+        assert sum(v for k, v in traj.stats.items() if k.endswith("_steps")) == reach
+
+    def test_compare_run_stays_on_the_step_path(self, bundled_models):
+        # ex2 at dt 5e-4 has about 180 intervals in reach of the series, fewer than repay its build
+        scenario, model = bundled_models["example2_ccvsi"]
+        cfg = replace(scenario.sim_config, mode="output_fb", dt=5e-4)
+        assert integrate(scenario, cfg, model=model).stats["series_intervals"] == 0
 
 
 class TestPlanProperty:
