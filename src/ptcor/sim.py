@@ -33,16 +33,16 @@ of ``dt``, shrunk before the horizon to ``min(dt, guard/mu)`` (which keeps
 the stiffest eigenvalue times the step inside the RK4 stability region for
 the default guard) and clipped to land on the clamp, the horizon and the
 end; a sample every ``stride`` steps, at each landing and at the end.
-`_drive` walks it with classic explicit RK4.  A full ``dt`` LTI step (past
-the horizon, the asymptotic baseline) is y <- R y; up to STEP_POLY_MAX_DIM
-states a full pre-horizon step is a polynomial in its stage gains
-(`step_basis`), and up to RELAY_STEP_MAX_DIM a full fixed-time step is linear
-in y and its stage relays (`relay_step`).  The m steps of a sample interval
-are one product when a bound on its partial products rules out an escape:
-R^m for LTI steps, a power series in u = mu(t) dt (`interval_series`) for
-pre-horizon steps with uncapped gains.  Other steps take the four stages of
-`rhs`; `Trajectory.stats` counts each kind.  Only the sampled (t, y) are
-kept, as `Trajectory.y`; every recorded column is derived from them.
+`_drive` walks it with classic explicit RK4, and every linear map is
+y <- w (P y).reshape(len(w), dim): a full ``dt`` LTI step (past the horizon,
+the asymptotic baseline) is R with w = [1]; up to STEP_POLY_MAX_DIM states a
+full pre-horizon step with uncapped gains is five matrix coefficients with
+w = u^0 .. u^4 / d(u), u = mu(t) dt (`step_poly`), and the m steps of a
+sample interval are R^m, or a power series in u (`interval_series`), when a
+bound on its partial products rules out an escape.  Up to RELAY_STEP_MAX_DIM
+a full fixed-time step is linear in y and its stage relays (`relay_step`).
+Other steps take the four stages of `rhs`; `Trajectory.stats` counts each
+kind.  Only the sampled (t, y) are kept, as `Trajectory.y`.
 """
 
 from __future__ import annotations
@@ -66,8 +66,7 @@ ESCAPE_NORM = 1e9
 TIME_RTOL = 1e-15
 MAX_STEPS = 10**7  # a plan holds a few numbers per step; 200x a bundled run
 MIN_DT_ULPS = 10**6  # float spacings of |t| in dt: a step moves the clock by dt to 5e-7 relative
-STEP_MONOMIALS = [(i, j, k) for i in (0, 1) for j in (0, 1, 2) for k in (0, 1)]  # a^i b^j c^k
-STEP_POLY_MAX_DIM = 96  # above it B, and the R^m of a sample interval, cost more than they save
+STEP_POLY_MAX_DIM = 200  # with Q and R^m / without, one generated run: 64/74 ms at dim 194, 103/94 at 230
 RELAY_STEP_MAX_DIM = 88  # relay_step vs four stages at h = 1e-3: 58-79/100 us at dim 86, 79-108/69-98 at 92
 SERIES_DEGREE, SERIES_TAIL = 20, 1e-16  # the interval series is cut after u^20, its tail below 1e-16 ||y||
 SERIES_MIN_INTERVALS = 6  # x dim: its build (8-29 ms at dim 26-52) is repaid after 3.6-5.1 dim intervals
@@ -165,6 +164,8 @@ def check_step_budget(schedule: MuSchedule, cfg: SimConfig) -> None:
     horizon by a factor 1 - guard, so there are at most ln(T mu_cap)/guard of them.
     """
     span, far, dt = cfg.duration - schedule.t0, max(abs(schedule.t0), abs(cfg.duration)), cfg.dt
+    if span <= 0:
+        raise ValueError(f"duration: {cfg.duration:g} ends at or before t0 = {schedule.t0:g}")
     if span / dt > MAX_STEPS:
         raise ValueError(f"dt: {dt:g} takes {span / dt:.3g} steps over [{schedule.t0:g}, "
                          f"{cfg.duration:g}], more than {MAX_STEPS:g}")
@@ -310,17 +311,14 @@ def compile_model(scenario) -> ClosedLoopModel:
                            gains, regs, scenario.mu_schedule)
 
 
-def _lin(*terms) -> dict:
-    """The sum of scale * form over (scale, form) pairs; a form maps keys to coefficient arrays."""
-    return {e: sum(s * P[e] for s, P in terms if e in P) for e in {e for _, P in terms for e in P}}
-
-
 def _rk4_forms(h: float, y: dict, f) -> dict:
-    """One classic RK4 step of h on forms; f(g, Y) is the derivative at stage g with argument Y."""
+    """One classic RK4 step of h on forms, which map keys to coefficient arrays; f(g, Y) is the derivative
+    at stage g with argument Y."""
+    combine = lambda *ts: {e: sum(s * P[e] for s, P in ts if e in P) for e in {e for _, P in ts for e in P}}
     k = [f(0, y)]
     for g, s in ((1, h / 2), (2, h / 2), (3, h)):
-        k.append(f(g, _lin((1.0, y), (s, k[-1]))))
-    return _lin((1.0, y), *zip((h / 6, h / 3, h / 3, h / 6), k))
+        k.append(f(g, combine((1.0, y), (s, k[-1]))))
+    return combine((1.0, y), *zip((h / 6, h / 3, h / 3, h / 6), k))
 
 
 def _place(out: np.ndarray, blocks: list) -> np.ndarray:
@@ -431,32 +429,23 @@ class _Operator:
 
     def step_map(self, h: float) -> np.ndarray:
         """R with y <- R y one RK4 step of h on the LTI loop from the horizon on."""
-        # Horner's rule, I + hA(I + hA/2(I + hA/3(I + hA/4))), a block of
-        # columns at a time, so that R is the only full-size array
-        R = np.eye(self.dim)
-        for X in np.hsplit(R, range(32, self.dim, 32)):  # views into R
-            eye = X.copy()
-            for k in (4.0, 3.0, 2.0, 1.0):
-                X[...] = (h / k) * self.rhs(self.schedule.horizon, X) + eye
+        R, f = np.eye(self.dim), lambda g, Y: {0: self.rhs(self.schedule.horizon, Y[0])}
+        for X in np.hsplit(R, range(32, self.dim, 32)):  # views into R, so that R is the only full-size array
+            X[...] = _rk4_forms(h, {0: X}, f)[0]
         return R
 
-    def step_basis(self, h: float) -> np.ndarray:
-        """B with y <- w (B y).reshape(12, dim) one RK4 step of h: at stage gains a = mu(t),
-        b = mu(t + h/2), c = mu(t + h) the step is a polynomial in (a, b, c), B stacks its matrix
-        coefficients, the forms {exponents: coefficient}, and w holds the monomials a^i b^j c^k."""
-        def f(g, P):  # (M0 + gain M1) P, the gain a, b, b or c at stage g = 0 .. 3
-            z, g, dim = {e: np.dot(self.M01, C) for e, C in P.items()}, (0, 1, 1, 2)[g], self.dim
-            return _lin((1.0, {e: Z[:dim] for e, Z in z.items()}),
-                        (1.0, {e[:g] + (e[g] + 1,) + e[g + 1:]: Z[dim:] for e, Z in z.items()}))
+    def step_poly(self, h: float) -> np.ndarray:
+        """Q with y <- w (Q y).reshape(5, dim), w = u^0 .. u^4 / d(u), one RK4 step of h from a time t with
+        uncapped stage gains mu(t + tau h) = (u / h) / (1 - tau u), u = mu(t) h: d(u) = (1 - u/2)^2 (1 - u)
+        clears their denominators, so d times the step's series, both cut after u^4, is exact."""
+        S, d = self.interval_series(h, 1, degree=4).reshape(5, -1), [1.0, -2.0, 1.25, -0.25]  # d(u)
+        return sum(c * np.r_[np.zeros_like(S[:n]), S[:5 - n]] for n, c in enumerate(d)).reshape(-1, self.dim)
 
-        phi = _rk4_forms(h, {(0, 0, 0): np.eye(self.dim)}, f)
-        return np.vstack([phi[e] for e in STEP_MONOMIALS])
-
-    def interval_series(self, h: float, m: int) -> np.ndarray:
+    def interval_series(self, h: float, m: int, degree: int = SERIES_DEGREE) -> np.ndarray:
         """P with y <- w (P y).reshape(K + 1, dim) the m full RK4 steps of h from a time t with uncapped
         stage gains, w = u^0 .. u^K, u = mu(t) h.  As h mu(t + tau h) = u / (1 - tau u) = sum tau^n u^(n+1),
-        the steps run on power series in u cut after u^K, a block of identity columns at a time."""
-        dim, K = self.dim, SERIES_DEGREE
+        the steps run on power series in u cut after u^K (K = degree), a block of identity columns at once."""
+        dim, K = self.dim, degree
         e, P = np.arange(K + 1)[:, None] - np.arange(K + 1) - 1, np.zeros((K + 1, dim, dim))
         # T[tau][d, j] = tau^(d-1-j) / h for j < d: the u-coefficients of mu(t + tau h) Z from those of Z
         T = {tau: np.where(e >= 0, tau ** e.clip(0) / h, 0.0) for tau in np.arange(2 * m + 1) / 2}
@@ -569,10 +558,10 @@ def _plan(schedule: MuSchedule, cfg: SimConfig, guarded: bool):
             if pre:
                 ok &= dt <= cfg.guard / mu(schedule, tk[:-1])
             n = len(nxt) if ok.all() else int(ok.argmin())
-            if n:
+            if n:  # no stride sample is near() an earlier one: dt spans MIN_DT_ULPS float spacings
                 runs.append((tk[:n], dt, True))
-                for i in range(stride - k % stride, n + 1, stride):
-                    record(float(tk[i]), k + i)
+                i = stride - k % stride
+                samples.extend(zip(tk[i:n + 1:stride].tolist(), range(k + i, k + n + 1, stride)))
                 t, k = float(tk[n]), k + n
                 continue
         if t + h > boundary or near(t + h, boundary):
@@ -602,66 +591,66 @@ def _drive(op: _Operator, y0: np.ndarray, schedule: MuSchedule, cfg: SimConfig):
     """Walk the planned steps.  Returns (times, samples, escaped, escape_time, diagnostic, stats)."""
     start, size, full, samples = _plan(schedule, cfg, op.guarded)
     ts, ends = np.array([s for s, _ in samples]), np.r_[0, [k for _, k in samples]]
-    stage_t = (start, start + 0.5 * size, start + size)  # the times of the four RK4 stages
-    f, (a, b, c) = (op.rhs, stage_t) if op.M1 is None else (op.stage, [mu(schedule, s) for s in stage_t])
-    steps, small = np.diff(ends), op.dim <= STEP_POLY_MAX_DIM
+    steps, small, dim = np.diff(ends), op.dim <= STEP_POLY_MAX_DIM, op.dim
+    u = np.r_[mu(schedule, start), 0.0] * cfg.dt  # u = mu(t) dt at the start of each step
     lti = full & (op.W is None) & ((op.M1 is None) | (start >= schedule.horizon))
-    poly = full & ~lti & (op.M1 is not None) & small
-    relay = full & (op.W is not None) & (op.dim <= min(STEP_POLY_MAX_DIM, RELAY_STEP_MAX_DIM))
-    R, B = (op.step_map(cfg.dt) if lti.any() else None), (op.step_basis(cfg.dt) if poly.any() else None)
-    step = op.relay_step(cfg.dt) if relay.any() else None if R is None else R.dot  # full steps of dt
+    poly = full & op.guarded & small & (schedule.horizon - (start + size) > schedule.eps)  # uncapped gains
+    relay = full & (op.W is not None) & (op.dim <= RELAY_STEP_MAX_DIM)
+    R, Q = (op.step_map(cfg.dt) if lti.any() else None), (op.step_poly(cfg.dt) if poly.any() else None)
+    step = op.relay_step(cfg.dt) if relay.any() else None
     # A sample interval of more than one step of one kind (reduceat ANDs each nonempty one) is one product
-    # while ||y|| norm[j] rules out an escape: R^m for LTI steps, and for polynomial steps with uncapped
-    # gains, when enough intervals repay its build, `interval_series` cut to the terms its tail needs
+    # while ||y|| bound rules out an escape: R^m for LTI steps, and for five-term steps, when enough
+    # intervals repay its build, `interval_series` cut to the n terms its tail needs
     whole = lambda kind: (steps > 1) & np.logical_and.reduceat(np.r_[kind, True], ends[:-1])
-    jump, u = small & whole(lti), np.r_[a, 0.0][ends[:-1]] * cfg.dt
-    series = whole(poly) & (schedule.horizon - np.r_[0.0, stage_t[2]][ends[1:]] > schedule.eps)
-    norm, terms, Rm, Pm = np.full(len(steps), np.inf), np.zeros(len(steps), int), {}, {}  # inf: walked
+    jump, series, maps, one = small & whole(lti), whole(poly), {}, np.ones(1)  # maps: j -> (P, w, bound)
     for m in set(steps[jump].tolist()):  # ||y|| max(1, ||R||)^m bounds ||R^j y||
-        Rm[m], norm[jump & (steps == m)] = np.linalg.matrix_power(R, m), max(1, abs(R).sum(axis=1).max()) ** m
+        entry = np.linalg.matrix_power(R, m), one, max(1, abs(R).sum(axis=1).max()) ** m
+        maps.update(dict.fromkeys(np.flatnonzero(jump & (steps == m)).tolist(), entry))
     for m in set(steps[series].tolist()):
         u_d, bound = op.series_reach(cfg.dt, m)
-        on, series[steps == m] = np.flatnonzero(series & (steps == m) & (u <= u_d[-1])), False
-        if len(on) >= SERIES_MIN_INTERVALS * op.dim:
-            series[on], Pm[m] = True, op.interval_series(cfg.dt, m)
-            norm[on], terms[on] = bound(u[on]), np.searchsorted(u_d, u[on]) + 1
-    powers = np.arange(SERIES_DEGREE + 1)
-    kinds = (lti | relay) * np.int8(2) + poly  # 2: step(y), 1: the polynomial, 0: the four stages
-    kind, taken, product = kinds.tolist(), np.zeros(len(steps), bool), (norm < np.inf).tolist()
+        on = np.flatnonzero(series & (steps == m) & (u[ends[:-1]] <= u_d[-1]))
+        if len(on) >= SERIES_MIN_INTERVALS * op.dim:  # w = u^0 .. u^(n-1), n terms
+            P, v = op.interval_series(cfg.dt, m), u[ends[on]]
+            n, W, b = np.searchsorted(u_d, v) + 1, v[:, None] ** np.arange(SERIES_DEGREE + 1), bound(v)
+            maps.update((j, (P[:n[i] * dim], W[i, :n[i]], b[i])) for i, j in enumerate(on.tolist()))
+    lin = lambda P, w, y: np.dot(w, np.dot(P, y).reshape(len(w), dim))  # every linear map: y <- w (P y)
+    kinds = (lti | relay) * np.int8(2) + poly  # 2: R or the relay step, 1: the five-term step, 0: four stages
+    at = kinds == 0  # the four-stage steps, walked in order and never in a product: one iterator of gains
+    stage_t = start[at, None] + size[at, None] * np.array([0.0, 0.5, 1.0])
+    f, gains = (op.stage, iter(mu(schedule, stage_t))) if op.guarded else (op.rhs, iter(stage_t))
+    kind, taken = kinds.tolist(), np.zeros(len(steps), bool)
     def stats(n):  # what the first n sample intervals took
         walked = np.bincount(kinds[:ends[n]][np.repeat(~taken[:n], steps[:n])], minlength=3).tolist()
-        s, r = taken & series, taken & jump
+        s, r = taken & ~jump, taken & jump
         return dict(series_intervals=int(s.sum()), series_steps=int(steps[s].sum()),
                     jump_intervals=int(r.sum()), jump_steps=int(steps[r].sum()),
                     poly_steps=walked[1], map_steps=walked[2], stage_steps=walked[0])
-    Y, rows, y, w, w0 = np.empty((len(ts), op.dim)), np.empty((max(steps, default=0), op.dim)), y0, [], 0
-    with np.errstate(over="ignore", invalid="ignore"):
+    Y, rows, y = np.empty((len(ts), op.dim)), np.empty((max(steps, default=0), op.dim)), y0
+    with np.errstate(all="ignore"):
         for j, (lo, hi) in enumerate(zip(ends[:-1].tolist(), ends[1:].tolist())):
-            if product[j] and np.abs(y).max() * norm[j] <= 0.5 * ESCAPE_NORM:
-                n, taken[j] = terms[j], True  # n terms of the series, or none for R^m
-                y = Y[j] = np.dot(u[j] ** powers[:n], np.dot(Pm[hi - lo][:n * op.dim], y).reshape(n, -1)) \
-                    if n else np.dot(Rm[hi - lo], y)
+            if j in maps and np.abs(y).max() * maps[j][2] <= 0.5 * ESCAPE_NORM:
+                (P, w, _), taken[j] = maps[j], True
+                y = Y[j] = lin(P, w, y)
                 continue
+            v = u[lo:hi, None]  # the five-term weights u^0 .. u^4 / d(u) of the interval's steps
+            w = v ** np.arange(5) / ((1.0 - 0.5 * v) ** 2 * (1.0 - v)) if Q is not None else None
             for i in range(lo, hi):
                 if kind[i] == 2:
-                    y = step(y)
+                    y = lin(R, one, y) if step is None else step(y)
                 elif kind[i] == 1:
-                    if i >= w0 + len(w):  # w: the monomials a^i b^j c^k of steps w0 .. w0 + 1023
-                        abc = np.stack([g[i:i + 1024] for g in (a, b, c)], axis=-1)
-                        w0, w = i, np.prod(abc[:, None, :] ** np.array(STEP_MONOMIALS), axis=-1)
-                    y = np.dot(w[i - w0], np.dot(B, y).reshape(12, -1))
+                    y = lin(Q, w[i - lo], y)
                 else:
-                    h = size[i]
-                    k1 = f(a[i], y)
-                    k2 = f(b[i], 0.5 * h * k1 + y)
-                    k3 = f(b[i], 0.5 * h * k2 + y)
-                    k4 = f(c[i], h * k3 + y)
+                    h, (a, b, c) = size[i], next(gains)
+                    k1 = f(a, y)
+                    k2 = f(b, 0.5 * h * k1 + y)
+                    k3 = f(b, 0.5 * h * k2 + y)
+                    k4 = f(c, h * k3 + y)
                     y = (h / 6.0) * (k1 + (k2 + k2) + (k3 + k3) + k4) + y
                 rows[i - lo] = y
             # NaN fails the comparison, so one test catches escaped and non-finite states
             ok = np.abs(rows[:hi - lo]).max(axis=1) <= ESCAPE_NORM
             if not ok.all():
-                t_esc = float(stage_t[2][lo + int(ok.argmin())])
+                t_esc = float(start[lo + int(ok.argmin())] + size[lo + int(ok.argmin())])
                 diag = f"finite-escape detected at t = {t_esc:.9g} (state norm > {ESCAPE_NORM:g})"
                 return ts[:j], Y[:j], True, t_esc, diag, stats(j + 1)
             Y[j] = y

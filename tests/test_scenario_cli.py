@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 import yaml
 
+import ptcor.cli
 import ptcor.scenario
 from perfbench import generate
 from ptcor.cli import main
@@ -223,6 +224,7 @@ class TestCli:
         # the step budget: too many steps of dt, too many guard-shrunk steps
         (("sim", "dt"), 1e-12, "sim.dt"),
         (("sim", "guard"), 1e-9, "sim.guard"),
+        (("mu", "t0"), 6.0, "sim.duration"),  # the run would end (at 5) before it starts
     ])
     def test_bad_value_is_schema_error(self, example1_doc, tmp_path, capsys, keys, value, field):
         node = example1_doc
@@ -235,6 +237,18 @@ class TestCli:
         err = capsys.readouterr().err
         assert rc == 2
         assert err.startswith("schema:") and f"{field}:" in err
+
+    @pytest.mark.parametrize("flag, value", [("--dt", "0.001"), ("--T", "3")])
+    def test_override_of_a_run_that_ends_before_it_starts(self, monkeypatch, tmp_path, capsys, flag, value):
+        # a scenario built in code bypasses the check at load; the override path repeats it
+        scenario = load_scenario("example1_rlc")
+        scenario.mu_schedule = replace(scenario.mu_schedule, t0=6.0)  # duration 5
+        monkeypatch.setattr(ptcor.cli, "load_scenario", lambda name: scenario)
+        rc = main(["certify", "example1_rlc", flag, value, "--out", str(tmp_path)])
+        err = capsys.readouterr().err
+        assert rc == 2
+        assert err.startswith("schema:") and f"{flag} {value}: duration: 5 ends at or before t0 = 6" in err
+        assert not list(tmp_path.glob("*.csv"))
 
     def test_large_t0_step_that_cannot_advance_is_schema_error(self, example1_doc, tmp_path, capsys):
         # 5e4 steps of 1e-4 would all round away at t = 1e13, where floats are 2e-3 apart

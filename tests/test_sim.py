@@ -19,7 +19,6 @@ from ptcor.sim import (
     PTCOR_MODES,
     RELAY_STEP_MAX_DIM,
     SERIES_DEGREE,
-    STEP_MONOMIALS,
     STEP_POLY_MAX_DIM,
     BaselineConstants,
     MuSchedule,
@@ -127,6 +126,9 @@ class TestSimConfig:
         (1e13, 1e-4, 1e13 + 5.0, "dt: 0.0001 is below half"),  # 5e4 steps, none advancing t
         # each step advances t by 1.9e-6, the float spacing at 1e10, while the state moves by 1e-6
         (1e10, 1e-6, 1e10 + 0.01, r"dt: 1e-06 is under 1e\+06 float spacings at t = 1e\+10"),
+        # a run that ends before, or where, it starts has no step to take
+        (6.0, 1e-4, 5.0, "duration: 5 ends at or before t0 = 6"),
+        (5.0, 1e-4, 5.0, "duration: 5 ends at or before t0 = 5"),
     ])
     def test_step_budget_checked_before_compiling(self, monkeypatch, t0, dt, duration, match):
         s = scalar_scenario()
@@ -679,43 +681,50 @@ BASIS_CASES = [(name, mode) for name in ("example1_rlc", "example2_ccvsi") for m
 
 
 class TestStepBasis:
-    """One RK4 step as a polynomial in its three stage gains, against the four stages."""
+    """One full pre-horizon RK4 step as five matrix coefficients in u = mu(t) dt, against the four stages."""
+
+    H = 2.0 ** -13  # a dyadic step: on a grid of H/1024 the stage times t + tau H are exact
 
     @pytest.fixture(scope="class")
-    def bases(self, bundled_models):
+    def polys(self, bundled_models):
         out = {}
         for name, mode in BASIS_CASES:
             scenario, model = bundled_models[name]
-            op, cfg = _Operator(model, mode, BaselineConstants()), scenario.sim_config
-            out[name, mode] = op, cfg.dt, cfg.guard, op.step_basis(cfg.dt)
+            op = _Operator(model, mode, BaselineConstants())
+            out[name, mode] = op, scenario.sim_config.guard, op.step_poly(self.H)
         return out
 
-    def test_dimensions_are_under_the_cap(self, bases):
-        assert all(op.dim <= STEP_POLY_MAX_DIM for op, *_ in bases.values())
+    def test_dimensions_are_under_the_cap(self, polys):
+        assert all(op.dim <= STEP_POLY_MAX_DIM for op, *_ in polys.values())
 
     @settings(max_examples=100, deadline=None)
-    @given(case=st.sampled_from(BASIS_CASES), gains=st.tuples(*[st.floats(0.0, 1.0)] * 3),
-           seed=st.integers(0, 2**32 - 1))
-    def test_basis_step_is_the_four_stage_step(self, bases, case, gains, seed):
-        # a full step has dt <= guard/mu(t); the gains range over [0, guard/dt]
-        op, h, guard, B = bases[case]
-        a, b, c = (guard / h * g for g in gains)
+    @given(case=st.sampled_from(BASIS_CASES), frac=st.floats(0.0, 1.0), seed=st.integers(0, 2**32 - 1))
+    def test_basis_step_is_the_four_stage_step(self, polys, case, frac, seed):
+        # a full step has u = mu(t) h <= guard; the stages take the schedule's mu at t, t + h/2, t + h
+        op, guard, Q = polys[case]
+        s, h, grid = op.schedule, self.H, self.H / 1024
+        left = h / (frac * guard) if frac * guard > h / s.T else s.T  # time left to the horizon, 1 / mu(t)
+        t = s.horizon - grid * round(left / grid)
+        a, b, c = (mu(s, t + tau * h) for tau in (0.0, 0.5, 1.0))
         y = np.random.default_rng(seed).standard_normal(op.dim)
         k1 = op.stage(a, y)
         k2 = op.stage(b, y + 0.5 * h * k1)
         k3 = op.stage(b, y + 0.5 * h * k2)
         k4 = op.stage(c, y + h * k3)
         expected = y + (h / 6.0) * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
-        w = np.array([a**i * b**j * c**k for i, j, k in STEP_MONOMIALS])
-        assert np.abs(w @ (B @ y).reshape(12, -1) - expected).max() <= 1e-13 * np.abs(expected).max()
+        u = a * h
+        w = u ** np.arange(5) / ((1.0 - 0.5 * u) ** 2 * (1.0 - u))
+        assert np.abs(w @ (Q @ y).reshape(5, -1) - expected).max() <= 1e-13 * np.abs(expected).max()
 
     @pytest.mark.parametrize("case", BASIS_CASES)
-    def test_equal_gains_give_the_step_map(self, bases, case):
-        # past the horizon every stage gain is mu = a
-        op, h, _, B = bases[case]
-        w = np.array([op.schedule.a ** (i + j + k) for i, j, k in STEP_MONOMIALS])
-        R = np.tensordot(w, B.reshape(12, op.dim, op.dim), axes=1)
-        assert np.abs(R - op.step_map(h)).max() <= 1e-13 * np.abs(R).max()
+    def test_equal_gains_give_the_step_map(self, polys, case):
+        # at u = 0 every stage gain is 0 and d(0) = 1: Q_0 is the RK4 step map of M0 alone
+        op, _, Q = polys[case]
+        hA, term, expected = self.H * op.M0, np.eye(op.dim), np.eye(op.dim)
+        for k in (1, 2, 3, 4):
+            term = term @ hA / k
+            expected = expected + term
+        assert np.abs(Q[:op.dim] - expected).max() <= 1e-13 * np.abs(expected).max()
 
 
 class TestRelayBasis:
@@ -731,7 +740,7 @@ class TestRelayBasis:
         return out
 
     def test_dimensions_are_under_the_cap(self, relays):
-        assert all(op.dim <= min(STEP_POLY_MAX_DIM, RELAY_STEP_MAX_DIM) for op, _ in relays.values())
+        assert all(op.dim <= RELAY_STEP_MAX_DIM for op, _ in relays.values())
 
     @settings(max_examples=100, deadline=None)
     @given(case=st.sampled_from([(name, h) for name in ("example1_rlc", "example2_ccvsi")
@@ -750,10 +759,10 @@ class TestRelayBasis:
         expected = y + (h / 6.0) * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
         assert np.abs(step(y) - expected).max() <= 1e-12 * np.abs(expected).max()
 
-    @pytest.mark.parametrize("cap", [STEP_POLY_MAX_DIM, 0])
+    @pytest.mark.parametrize("cap", [RELAY_STEP_MAX_DIM, 0])
     def test_drive_takes_the_relay_step_under_the_cap(self, monkeypatch, cap):
         built, relay_step = [], _Operator.relay_step
-        monkeypatch.setattr(ptcor.sim, "STEP_POLY_MAX_DIM", cap)
+        monkeypatch.setattr(ptcor.sim, "RELAY_STEP_MAX_DIM", cap)
         monkeypatch.setattr(_Operator, "relay_step", lambda op, h: built.append(h) or relay_step(op, h))
         s = scalar_scenario(mode="baseline_fixed_time")
         integrate(s, s.sim_config)
