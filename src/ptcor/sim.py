@@ -32,13 +32,17 @@ state exists, from (t0, T, mu_cap, dt, guard, stride, duration) alone: steps
 of ``dt``, shrunk before the horizon to ``min(dt, guard/mu)`` (which keeps
 the stiffest eigenvalue times the step inside the RK4 stability region for
 the default guard) and clipped to land on the clamp, the horizon and the
-end; a sample every ``stride`` steps, at each landing and at the end.
+end; a sample every ``stride`` steps, at each landing and at the end.  The
+plan holds an entry (t_lo, m, h, full) per stretch of equal steps in a
+sample interval, so it grows with the samples, not the steps.  Step times
+are the running sums t + dt + dt ..., which are the same floats when summed
+in blocks; planning and walking both sum 4096 steps at a time.
 `_drive` walks it with classic explicit RK4, and every linear map is
 y <- w (P y).reshape(len(w), dim): a full ``dt`` LTI step (past the horizon,
 the asymptotic baseline) is R with w = [1]; up to STEP_POLY_MAX_DIM states a
 full pre-horizon step with uncapped gains is five matrix coefficients with
-w = u^0 .. u^4 / d(u), u = mu(t) dt (`step_poly`), and the m steps of a
-sample interval are R^m, or a power series in u (`interval_series`), when a
+w = u^0 .. u^4 / d(u), u = mu(t) dt (`step_poly`), and an interval of one
+entry of m steps is R^m, or a power series in u (`interval_series`), when a
 bound on its partial products rules out an escape.  Up to RELAY_STEP_MAX_DIM
 a full fixed-time step is linear in y and its stage relays (`relay_step`).
 Other steps take the four stages of `rhs`; `Trajectory.stats` counts each
@@ -64,7 +68,7 @@ ESCAPE_NORM = 1e9
 # same instant.  Anything wider lets a run stop where accumulated steps fall
 # short of a boundary, before the clipped step that lands on it.
 TIME_RTOL = 1e-15
-MAX_STEPS = 10**7  # a plan holds a few numbers per step; 200x a bundled run
+MAX_STEPS = 10**7  # bounds a run's time (a plan holds numbers per sample, not per step); 200x a bundled run
 MIN_DT_ULPS = 10**6  # float spacings of |t| in dt: a step moves the clock by dt to 5e-7 relative
 STEP_POLY_MAX_DIM = 200  # with Q and R^m / without, one generated run: 64/74 ms at dim 194, 103/94 at 230
 RELAY_STEP_MAX_DIM = 88  # relay_step vs four stages at h = 1e-3: 58-79/100 us at dim 86, 79-108/69-98 at 92
@@ -158,7 +162,7 @@ class SimConfig:
 
 
 def check_step_budget(schedule: MuSchedule, cfg: SimConfig) -> None:
-    """Reject a run whose plan would outgrow MAX_STEPS or whose dt is under MIN_DT_ULPS spacings.
+    """Reject a run of more than MAX_STEPS steps or whose dt is under MIN_DT_ULPS spacings.
 
     The message leads with the field at fault.  Each guard-shrunk step cuts the time left to the
     horizon by a factor 1 - guard, so there are at most ln(T mu_cap)/guard of them.
@@ -524,17 +528,23 @@ class _Operator:
         )
 
 
-def _plan(schedule: MuSchedule, cfg: SimConfig, guarded: bool):
-    """Every step and sample of a run, decided before any state exists: (start, size, full, samples).
+def _sums(t: float, h: float, n: int) -> np.ndarray:
+    """t and the running sums t + h, t + h + h, ... of n steps.  A sum continued from the last of
+    them has the same floats as one sum over all the steps, so a long stretch is summed in blocks."""
+    return np.add.accumulate(np.concatenate(([t], np.full(n, h))))
 
-    Each step's start time and size, whether it is a full ``dt`` step (neither guard-shrunk nor
-    clipped onto a boundary), and the samples as (time, steps taken); the clamp sample and the
-    horizon sample after the jump are two samples of one state.
+
+def _plan(schedule: MuSchedule, cfg: SimConfig, guarded: bool):
+    """Every step and sample of a run, decided before any state exists: (entries, samples).
+
+    `entries` has a row (t_lo, m, h, full) per stretch of m steps of size h from t_lo within one
+    sample interval; full (1) if they are ``dt`` steps, neither guard-shrunk nor clipped onto a
+    boundary.  The samples are (time, steps taken); the clamp sample and the horizon sample after
+    the jump are two samples of one state.
     """
     dt, stride, end, horizon = cfg.dt, cfg.stride, cfg.duration, schedule.horizon
     clamp_t = horizon - schedule.eps  # the clamp: where the last pre-horizon step lands
-    runs = [(np.empty(0), dt, True)]  # (start times, size, full) of each stretch of equal steps
-    samples = [(schedule.t0, 0)]
+    entries, samples = [np.empty((0, 4))], [(schedule.t0, 0)]
 
     def near(a, b):
         return abs(a - b) <= TIME_RTOL * max(1.0, abs(a))
@@ -550,27 +560,33 @@ def _plan(schedule: MuSchedule, cfg: SimConfig, guarded: bool):
         boundary = min(clamp_t, end) if pre else end if past else min(horizon, end)
         h = min(dt, cfg.guard / mu(schedule, t)) if pre else dt
         if h == dt:
-            # the sums of t = t + dt up to the boundary; the leading steps that neither
-            # pass nor land near() it, nor are shrunk by the guard, are full steps
-            tk = np.add.accumulate(np.r_[t, np.full(int((boundary - t) / dt) + 2, dt)])
-            nxt = tk[1:]
-            ok = (nxt <= boundary) & (np.abs(nxt - boundary) > TIME_RTOL * np.maximum(1.0, np.abs(nxt)))
-            if pre:
-                ok &= dt <= cfg.guard / mu(schedule, tk[:-1])
-            n = len(nxt) if ok.all() else int(ok.argmin())
-            if n:  # no stride sample is near() an earlier one: dt spans MIN_DT_ULPS float spacings
-                runs.append((tk[:n], dt, True))
-                i = stride - k % stride
-                samples.extend(zip(tk[i:n + 1:stride].tolist(), range(k + i, k + n + 1, stride)))
+            # the sums of t = t + dt, 4096 at a time; the leading steps that neither pass nor land
+            # near() the boundary, nor are shrunk by the guard, are full steps, cut into entries at
+            # the stride samples (none is near() an earlier one: dt spans MIN_DT_ULPS float spacings)
+            cut_t, cut_k, more = [[t]], [[k]], True
+            while more:
+                tk = _sums(t, dt, min(int((boundary - t) / dt) + 2, 4096))
+                nxt = tk[1:]
+                ok = (nxt <= boundary) & (np.abs(nxt - boundary) > TIME_RTOL * np.maximum(1.0, np.abs(nxt)))
+                if pre:
+                    ok &= dt <= cfg.guard / mu(schedule, tk[:-1])
+                n = len(nxt) if ok.all() else int(ok.argmin())
+                more = n == len(nxt)
+                i = np.arange(stride - k % stride, n + 1, stride)
+                cut_t.append(tk[i])
+                cut_k.append(k + i)
                 t, k = float(tk[n]), k + n
+            if k > cut_k[0][0]:  # the stretch ends at (t, k), which may also be a cut
+                lo, kk = np.concatenate(cut_t + [[t]]), np.concatenate(cut_k + [[k]])
+                samples += zip(lo[1:-1].tolist(), kk[1:-1].tolist())
+                m = np.diff(kk)
+                entries.append(np.column_stack([lo[:-1], m, np.full(len(m), dt), np.ones(len(m))])[m > 0])
                 continue
         if t + h > boundary or near(t + h, boundary):
-            h = boundary - t
-        if h <= 0:
-            break
+            h = boundary - t  # positive: t is short of the boundary
         if t + h == t:
             raise ValueError(f"guard: a step of {h:.3g} does not advance t = {t:.17g}")
-        runs.append((np.array([t]), h, False))
+        entries.append([[t, 1, h, 0]])
         t, k = t + h, k + 1
         at_clamp = guarded and near(t, clamp_t) and clamp_t < end
         if k % stride == 0 or at_clamp or near(t, boundary):
@@ -582,75 +598,101 @@ def _plan(schedule: MuSchedule, cfg: SimConfig, guarded: bool):
             if t < end and not near(t, end):
                 record(t, k)
     record(t, k)
-    starts, sizes, fulls = zip(*runs)
-    counts = [len(s) for s in starts]
-    return np.concatenate(starts), np.repeat(sizes, counts), np.repeat(fulls, counts), samples
+    return np.concatenate(entries), samples
 
 
 def _drive(op: _Operator, y0: np.ndarray, schedule: MuSchedule, cfg: SimConfig):
-    """Walk the planned steps.  Returns (times, samples, escaped, escape_time, diagnostic, stats)."""
-    start, size, full, samples = _plan(schedule, cfg, op.guarded)
+    """Walk the plan by sample interval.  Returns (times, samples, escaped, escape_time, diagnostic, stats)."""
+    entries, samples = _plan(schedule, cfg, op.guarded)
     ts, ends = np.array([s for s, _ in samples]), np.r_[0, [k for _, k in samples]]
-    steps, small, dim = np.diff(ends), op.dim <= STEP_POLY_MAX_DIM, op.dim
-    u = np.r_[mu(schedule, start), 0.0] * cfg.dt  # u = mu(t) dt at the start of each step
-    lti = full & (op.W is None) & ((op.M1 is None) | (start >= schedule.horizon))
-    poly = full & op.guarded & small & (schedule.horizon - (start + size) > schedule.eps)  # uncapped gains
-    relay = full & (op.W is not None) & (op.dim <= RELAY_STEP_MAX_DIM)
-    R, Q = (op.step_map(cfg.dt) if lti.any() else None), (op.step_poly(cfg.dt) if poly.any() else None)
-    step = op.relay_step(cfg.dt) if relay.any() else None
-    # A sample interval of more than one step of one kind (reduceat ANDs each nonempty one) is one product
-    # while ||y|| bound rules out an escape: R^m for LTI steps, and for five-term steps, when enough
-    # intervals repay its build, `interval_series` cut to the n terms its tail needs
-    whole = lambda kind: (steps > 1) & np.logical_and.reduceat(np.r_[kind, True], ends[:-1])
-    jump, series, maps, one = small & whole(lti), whole(poly), {}, np.ones(1)  # maps: j -> (P, w, bound)
-    for m in set(steps[jump].tolist()):  # ||y|| max(1, ||R||)^m bounds ||R^j y||
-        entry = np.linalg.matrix_power(R, m), one, max(1, abs(R).sum(axis=1).max()) ** m
-        maps.update(dict.fromkeys(np.flatnonzero(jump & (steps == m)).tolist(), entry))
-    for m in set(steps[series].tolist()):
-        u_d, bound = op.series_reach(cfg.dt, m)
-        on = np.flatnonzero(series & (steps == m) & (u[ends[:-1]] <= u_d[-1]))
-        if len(on) >= SERIES_MIN_INTERVALS * op.dim:  # w = u^0 .. u^(n-1), n terms
-            P, v = op.interval_series(cfg.dt, m), u[ends[on]]
-            n, W, b = np.searchsorted(u_d, v) + 1, v[:, None] ** np.arange(SERIES_DEGREE + 1), bound(v)
-            maps.update((j, (P[:n[i] * dim], W[i, :n[i]], b[i])) for i, j in enumerate(on.tolist()))
+    t_lo, m, size, full = entries.T
+    steps, small, dim, full = np.diff(ends), op.dim <= STEP_POLY_MAX_DIM, op.dim, full == 1
+    horizon, eps, dt = schedule.horizon, schedule.eps, cfg.dt
+    # an entry's path: 2 for R or the relay step, 1 for the five-term step while uncapped, 0 for four stages
+    mapped = full & (dim <= RELAY_STEP_MAX_DIM if op.W is not None else (op.M1 is None) | (t_lo >= horizon))
+    paths = np.where(mapped, 2, full & op.guarded & small).tolist()
     lin = lambda P, w, y: np.dot(w, np.dot(P, y).reshape(len(w), dim))  # every linear map: y <- w (P y)
-    kinds = (lti | relay) * np.int8(2) + poly  # 2: R or the relay step, 1: the five-term step, 0: four stages
-    at = kinds == 0  # the four-stage steps, walked in order and never in a product: one iterator of gains
-    stage_t = start[at, None] + size[at, None] * np.array([0.0, 0.5, 1.0])
-    f, gains = (op.stage, iter(mu(schedule, stage_t))) if op.guarded else (op.rhs, iter(stage_t))
-    kind, taken = kinds.tolist(), np.zeros(len(steps), bool)
-    def stats(n):  # what the first n sample intervals took
-        walked = np.bincount(kinds[:ends[n]][np.repeat(~taken[:n], steps[:n])], minlength=3).tolist()
-        s, r = taken & ~jump, taken & jump
-        return dict(series_intervals=int(s.sum()), series_steps=int(steps[s].sum()),
-                    jump_intervals=int(r.sum()), jump_steps=int(steps[r].sum()),
-                    poly_steps=walked[1], map_steps=walked[2], stage_steps=walked[0])
-    Y, rows, y = np.empty((len(ts), op.dim)), np.empty((max(steps, default=0), op.dim)), y0
+    R, Q, one = (op.step_map(dt) if op.W is None and mapped.any() else None), None, np.ones(1)
+    step = op.relay_step(dt) if op.W is not None and mapped.any() else functools.partial(lin, R, one)
+    k_lo = (np.cumsum(m) - m).astype(int)  # the steps taken before each entry
+    cut = k_lo[~full]  # a stretch of full steps ends where a clipped or guard-shrunk step starts
+    stop = np.r_[cut, ends[-1]][np.searchsorted(cut, k_lo)].tolist()  # where each entry's stretch ends
+    # An interval of one entry of more than one step is one product while a ||y|| bound rules out an escape:
+    # R^n for LTI steps, and for five-term steps uncapped to the interval's end, when enough intervals repay
+    # its build, `interval_series` cut to the terms its tail needs
+    idx = np.searchsorted(k_lo, ends)  # interval j holds entries idx[j] to idx[j + 1]
+    head = np.where((np.diff(idx) == 1) & (steps > 1), np.r_[paths, 0][idx[:-1]], -1)
+    jump, series, maps = small & (op.W is None) & (head == 2), (head == 1) & (horizon - ts > eps), {}
+    for n in set(steps[jump].tolist()):  # ||y|| max(1, ||R||)^n bounds ||R^j y||
+        entry = np.linalg.matrix_power(R, n), one, max(1, abs(R).sum(axis=1).max()) ** n
+        maps.update(dict.fromkeys(np.flatnonzero(jump & (steps == n)).tolist(), entry))
+    u = mu(schedule, np.r_[t_lo, horizon][idx[:-1]]) * dt  # mu(t_lo) dt of each interval's first entry
+    for n in set(steps[series].tolist()):
+        u_d, bound = op.series_reach(dt, n)
+        on = np.flatnonzero(series & (steps == n) & (u <= u_d[-1]))
+        if len(on) >= SERIES_MIN_INTERVALS * dim:  # w = u^0 .. u^(c-1), c terms
+            P, v = op.interval_series(dt, n), u[on]
+            c, W, b = np.searchsorted(u_d, v) + 1, v[:, None] ** np.arange(SERIES_DEGREE + 1), bound(v)
+            maps.update((j, (P[:c[i] * dim], W[i, :c[i]], b[i])) for i, j in enumerate(on.tolist()))
+    f, tau, powers = op.stage if op.guarded else op.rhs, np.array([0.0, 0.5, 1.0]), np.arange(5)
+    at = lambda t, h: mu(schedule, t + h * tau) if op.guarded else t + h * tau  # stage gains, or times for rhs
+    first = at(t_lo[:, None], size[:, None])  # of each entry's first step: all that a one-step entry needs
+    walked = dict.fromkeys(("poly_steps", "map_steps", "stage_steps"), 0)  # the steps walked, by path
+    on_path, taken = ("stage_steps", "poly_steps", "map_steps"), np.zeros(len(steps), bool)  # paths 0, 1, 2
+
+    def stats(n):  # what the first n sample intervals took: products, and the steps walked
+        s, r = taken[:n] & ~jump[:n], taken[:n] & jump[:n]
+        return dict(series_intervals=int(s.sum()), series_steps=int(steps[:n][s].sum()),
+                    jump_intervals=int(r.sum()), jump_steps=int(steps[:n][r].sum()), **walked)
+
+    Y, rows, y = np.empty((len(ts), dim)), np.empty((min(max(steps, default=0), 4096), dim)), y0
+    # The running sums of the stretch being walked, up to 4096 steps ahead but not past its end, which its
+    # later full entries share: tk[i] is the time after step kb + i; rem = horizon - tk, and w the
+    # five-term weights of the steps from tk[:-1], made when a step first needs them
+    kb, tk, w = 0, np.zeros(1), None
     with np.errstate(all="ignore"):
-        for j, (lo, hi) in enumerate(zip(ends[:-1].tolist(), ends[1:].tolist())):
+        for j, (lo, hi) in enumerate(zip(idx[:-1].tolist(), idx[1:].tolist())):
             if j in maps and np.abs(y).max() * maps[j][2] <= 0.5 * ESCAPE_NORM:
-                (P, w, _), taken[j] = maps[j], True
-                y = Y[j] = lin(P, w, y)
+                (P, wj, _), taken[j] = maps[j], True
+                y = Y[j] = lin(P, wj, y)
                 continue
-            v = u[lo:hi, None]  # the five-term weights u^0 .. u^4 / d(u) of the interval's steps
-            w = v ** np.arange(5) / ((1.0 - 0.5 * v) ** 2 * (1.0 - v)) if Q is not None else None
-            for i in range(lo, hi):
-                if kind[i] == 2:
-                    y = lin(R, one, y) if step is None else step(y)
-                elif kind[i] == 1:
-                    y = lin(Q, w[i - lo], y)
-                else:
-                    h, (a, b, c) = size[i], next(gains)
-                    k1 = f(a, y)
-                    k2 = f(b, 0.5 * h * k1 + y)
-                    k3 = f(b, 0.5 * h * k2 + y)
-                    k4 = f(c, h * k3 + y)
-                    y = (h / 6.0) * (k1 + (k2 + k2) + (k3 + k3) + k4) + y
-                rows[i - lo] = y
-            # NaN fails the comparison, so one test catches escaped and non-finite states
-            ok = np.abs(rows[:hi - lo]).max(axis=1) <= ESCAPE_NORM
-            if not ok.all():
-                t_esc = float(start[lo + int(ok.argmin())] + size[lo + int(ok.argmin())])
+            t_esc = None
+            for e in range(lo, hi):
+                (t, n, h, is_full), path, k = entries[e].tolist(), paths[e], int(k_lo[e])
+                for s in range(k, k + int(n), 4096):  # the entry 4096 steps at a time
+                    c = min(k + int(n) - s, 4096)
+                    if not (is_full and kb <= s and s + c < kb + len(tk)):  # not among the sums in hand
+                        t_s = t if s == k else float(tk[s - kb])  # or where the entry's last block ended
+                        kb, tk, w = s, _sums(t_s, h, min(stop[e] - s, 4096) if is_full else c), None
+                    b, on = s - kb, c if path else 0  # steps from tk[b:b + c], the first `on` on the path
+                    if path == 1:  # five-term steps, while the gains mu = 1 / rem are uncapped to their end
+                        if w is None:
+                            rem = horizon - tk
+                            v = (1.0 / rem[:-1, None]) * dt  # u = mu(t) dt
+                            w = v ** powers / ((1.0 - 0.5 * v) ** 2 * (1.0 - v))  # u^0 .. u^4 / d(u)
+                        if rem[b + c] <= eps:
+                            on = int(np.count_nonzero(rem[b + 1:b + c + 1] > eps))  # a prefix: the ends increase
+                        Q = op.step_poly(dt) if Q is None and on else Q
+                    if on < c:  # the rest take four stages
+                        gains = first[e:e + 1] if n == 1 else at(tk[b + on:b + c, None], h)
+                    for i in range(c):
+                        if i < on:
+                            y = step(y) if path == 2 else lin(Q, w[b + i], y)
+                        else:
+                            ga, gb, gc = gains[i - on]
+                            k1 = f(ga, y)
+                            k2 = f(gb, 0.5 * h * k1 + y)
+                            k3 = f(gb, 0.5 * h * k2 + y)
+                            k4 = f(gc, h * k3 + y)
+                            y = (h / 6.0) * (k1 + (k2 + k2) + (k3 + k3) + k4) + y
+                        rows[i] = y
+                    walked[on_path[path]] += on
+                    walked["stage_steps"] += c - on
+                    # NaN fails the comparison, so one test catches escaped and non-finite states
+                    ok = np.abs(rows[:c]).max(axis=1) <= ESCAPE_NORM
+                    if t_esc is None and not ok.all():
+                        t_esc = float(tk[b + 1 + ok.argmin()])
+            if t_esc is not None:  # the interval is walked to its end, and counted whole
                 diag = f"finite-escape detected at t = {t_esc:.9g} (state norm > {ESCAPE_NORM:g})"
                 return ts[:j], Y[:j], True, t_esc, diag, stats(j + 1)
             Y[j] = y
@@ -661,12 +703,11 @@ def integrate(scenario, config: SimConfig | None = None,
               model: ClosedLoopModel | None = None) -> Trajectory:
     """Integrate one scenario in the requested mode and sample the run.
 
-    `scenario` provides the network, agents, exosystem, gain declaration,
-    mu schedule, simulation config, and initial conditions.  A finite
-    escape does not raise: the truncated trajectory is returned with the
-    escape flagged, since divergence is itself a meaningful outcome.  A
-    feedforward gain violating Ktil = U - Kbar X raises `SynthesisError`; a
-    run over `check_step_budget` raises ValueError before anything is built.
+    `scenario` provides the network, agents, exosystem, gain declaration, mu schedule, simulation
+    config, and initial conditions.  A finite escape does not raise: the truncated trajectory is
+    returned with the escape flagged, since divergence is itself a meaningful outcome.  A feedforward
+    gain violating Ktil = U - Kbar X raises `SynthesisError`; a run over `check_step_budget`, or a
+    `model` compiled for another schedule than the scenario's, raises ValueError before anything runs.
     """
     cfg = config or scenario.sim_config
     sched = scenario.mu_schedule
@@ -677,6 +718,8 @@ def integrate(scenario, config: SimConfig | None = None,
             "post-horizon behaviour cannot be certified", stacklevel=2)
     if model is None:
         model = compile_model(scenario)
+    elif model.schedule != sched:  # the plan takes the scenario's schedule, the operator the model's
+        raise ValueError(f"model: compiled for {model.schedule}, not for the scenario's {sched}")
 
     op = _Operator(model, cfg.mode, cfg.baseline)
     y0 = op.initial_state(scenario.exo.v0_init, scenario.v_init,

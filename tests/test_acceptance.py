@@ -189,7 +189,7 @@ def test_criterion_6_observer_envelope(ex1, crit3_run, ex1_envelope):
 
 
 def test_criterion_7_phi_saturation(ex1, crit3_run):
-    scenario, model = ex1
+    scenario, _ = ex1
     traj_lo, _ = crit3_run
     raised = variant(
         scenario,
@@ -197,7 +197,7 @@ def test_criterion_7_phi_saturation(ex1, crit3_run):
                                a=scenario.mu_schedule.a, mu_cap=1e7),
         name="cap_1e7",
     )
-    traj_hi = integrate(raised, model=model)
+    traj_hi = integrate(raised, model=compile_model(raised))
     deltas = {}
     for k in (1, 3, 4):
         lo = float(traj_lo.phi[k].max())

@@ -1,6 +1,6 @@
 import math
 import warnings
-from dataclasses import replace
+from dataclasses import astuple, replace
 
 import numpy as np
 import pytest
@@ -455,6 +455,14 @@ class TestIntegrate:
         assert traj.t[-1] == 2.0
         assert (np.diff(traj.t) > 0).all()
 
+    def test_model_compiled_for_another_schedule_is_rejected(self, rlc_model):
+        # the plan would take t0 = 3.1 from the scenario, the operator t0 = 0 from the model
+        scenario, model = rlc_model
+        moved = replace(scenario, mu_schedule=replace(scenario.mu_schedule, t0=3.1))
+        with pytest.raises(ValueError, match=r"model: compiled for MuSchedule\(.*t0=0\.0.*t0=3\.1"):
+            integrate(moved, replace(scenario.sim_config, duration=8.1), model=model)
+        assert integrate(moved, replace(moved.sim_config, dt=1e-3, duration=8.1)).t[0] == 3.1
+
     def test_short_duration_warns(self):
         s = scalar_scenario(duration=0.5)
         with pytest.warns(UserWarning, match="horizon"):
@@ -583,10 +591,27 @@ def bundled_models():
     return {s.name: (s, compile_model(s)) for s in scenarios}
 
 
+ORACLE_RUNS = {}
+
+
+def oracle_drive(op, y0, schedule, cfg):
+    """`tests.oracle.drive`, run once per input: the `_drive` test classes below share its runs, and
+    the oracle reads none of the constants they patch.  The key is the content of every input, never an
+    id(): models are rebuilt per test, and the ids of dead ones are reused."""
+    arrays = [getattr(op, name, None) for name in ("M01", "W", "G", "a", "b")]
+    key = (*(None if A is None else (A.shape, A.tobytes()) for A in arrays), getattr(op, "c4", None),
+           op.schedule, schedule, astuple(cfg), y0.tobytes())
+    if key not in ORACLE_RUNS:
+        ORACLE_RUNS[key] = drive(op, y0, schedule, cfg)
+        for shared in ORACLE_RUNS[key][:2]:  # every caller gets the same arrays
+            shared.flags.writeable = False
+    return ORACLE_RUNS[key]
+
+
 def drive_both(scenario, model, cfg):
     op = _Operator(model, cfg.mode, cfg.baseline)
     y0 = op.initial_state(scenario.exo.v0_init, scenario.v_init, scenario.x_init, scenario.xhat_init)
-    return op, _drive(op, y0, scenario.mu_schedule, cfg)[:5], drive(op, y0, scenario.mu_schedule, cfg)
+    return op, _drive(op, y0, scenario.mu_schedule, cfg)[:5], oracle_drive(op, y0, scenario.mu_schedule, cfg)
 
 
 class TestDriveMatchesOracle:
@@ -642,6 +667,21 @@ class TestDriveMatchesOracle:
             assert t_esc == pytest.approx(26.753) and len(t) == 5369
         else:  # the escaping step is not the first of its chunk
             assert t_esc > 1.0 and round((t_esc - t[-1]) / cfg.dt) not in (1, stride)
+
+    def test_entries_longer_than_a_block(self):
+        # At stride 10 000 the first sample interval holds 4990 full pre-horizon steps before the guard
+        # shrinks them, and the escape falls 4240 steps into a walked post-horizon interval of 10 000:
+        # both are walked 4096 steps at a time, each block summed on from the last time of the one before
+        s = scalar_scenario(T=10.0, duration=40.0)
+        s.gain_spec = replace(s.gain_spec, Kbar=np.array([[3.0]]))
+        s.mu_schedule = MuSchedule(T=10.0, a=0.1)
+        cfg = replace(s.sim_config, dt=2e-3, stride=10_000)
+        _, (t, Y, escaped, t_esc, diag), ref = drive_both(s, compile_model(s), cfg)
+        assert escaped and ref[2]
+        assert t_esc == ref[3] and diag == ref[4]
+        assert np.array_equal(t, ref[0])
+        assert (np.abs(Y - ref[1]) <= 1e-10 * np.abs(ref[1]).max(axis=0)).all()
+        assert round((t_esc - t[-1]) / cfg.dt) > 4096
 
     @pytest.mark.parametrize("mode", MODES)
     def test_step_landing_near_a_boundary_is_clipped(self, mode):
@@ -775,7 +815,8 @@ class TestRelayBasis:
         assert integrate(s).stats["map_steps"] > 0
         monkeypatch.setattr(ptcor.sim, "RELAY_STEP_MAX_DIM", 3)  # the scalar loop has 4 states
         monkeypatch.setattr(_Operator, "relay_step", lambda op, h: pytest.fail("relay step built"))
-        stats, planned = integrate(s).stats, len(_plan(s.mu_schedule, s.sim_config, False)[0])
+        stats = integrate(s).stats
+        planned = sum(m for _, m, _, _ in _plan(s.mu_schedule, s.sim_config, False)[0])
         assert stats["map_steps"] == 0 and stats["stage_steps"] == planned
 
 
@@ -849,7 +890,7 @@ class TestRunStats:
         scenario, model = bundled_models[name]
         cfg = replace(scenario.sim_config, mode=mode)
         stats = integrate(scenario, cfg, model=model).stats
-        planned = len(_plan(scenario.mu_schedule, cfg, True)[0])
+        planned = sum(m for _, m, _, _ in _plan(scenario.mu_schedule, cfg, True)[0])
         assert sum(stats[k] for k in ("series_steps", "jump_steps", "poly_steps", "map_steps",
                                       "stage_steps")) == planned
         assert integrate(scenario, cfg, model=model).stats == stats
@@ -865,8 +906,18 @@ class TestRunStats:
         assert set(traj.stats) == {"series_intervals", "series_steps", "jump_intervals", "jump_steps",
                                    "poly_steps", "map_steps", "stage_steps"}
         # every step up to the end of the sample interval the escape was found in
-        reach = next(k for tk, k in _plan(s.mu_schedule, s.sim_config, True)[3] if tk >= traj.escape_time)
+        reach = next(k for tk, k in _plan(s.mu_schedule, s.sim_config, True)[1] if tk >= traj.escape_time)
         assert sum(v for k, v in traj.stats.items() if k.endswith("_steps")) == reach
+
+    def test_plan_grows_with_the_samples_not_the_steps(self, bundled_models):
+        # one entry per stretch of full steps between two samples, and one per clipped or guard-shrunk step
+        scenario, model = bundled_models["example1_rlc"]
+        cfg = replace(scenario.sim_config, mode="output_fb", dt=1e-5, stride=10_000)
+        entries, samples = _plan(scenario.mu_schedule, cfg, True)
+        stats = integrate(scenario, cfg, model=model).stats
+        assert len(samples) == 54 and len(entries) < 200
+        steps = sum(v for k, v in stats.items() if k.endswith("_steps"))
+        assert sum(m for _, m, _, _ in entries) == steps == 500_035
 
     def test_compare_run_stays_on_the_step_path(self, bundled_models):
         # ex2 at dt 5e-4 has about 180 intervals in reach of the series, fewer than repay its build
@@ -902,6 +953,6 @@ class TestPlanProperty:
         assert np.array_equal(traj.t, t_ref)
         assert traj.finite_escape == escaped and traj.escape_time == t_esc
         assert (np.abs(traj.y - Y_ref) <= 1e-10 * np.abs(Y_ref).max(axis=0)).all()
-        planned = np.array([t for t, _ in _plan(s.mu_schedule, cfg, mode in PTCOR_MODES)[3]])
+        planned = np.array([t for t, _ in _plan(s.mu_schedule, cfg, mode in PTCOR_MODES)[1]])
         # an escape cuts the planned samples short
         assert np.array_equal(planned if not escaped else planned[:len(traj.t)], traj.t)

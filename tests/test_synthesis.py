@@ -5,7 +5,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 import scipy.linalg
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from ptcor.graph import network_from_edges, observer_rate, partition_laplacian
@@ -93,7 +93,10 @@ class TestClosedFormGains:
            st.floats(min_value=1.01, max_value=50.0))
     @settings(max_examples=60, deadline=None)
     def test_synthesized_gain_always_feasible(self, vals, mbar):
-        B = np.array(vals).reshape(2, 2) + 4.0 * np.eye(2)  # diagonally dominant, invertible
+        B = np.array(vals).reshape(2, 2) + 4.0 * np.eye(2)
+        # the draw can be singular, e.g. [[3, -1], [-3, 1]], and synthesize_K rightly raises on it;
+        # B K = -mbar I then holds to about cond(B) times the float precision
+        assume(np.linalg.cond(B) < 1e6)
         K = synthesize_K(B, mbar)
         ok, max_re = check_ptor_state(B, K)
         assert ok
