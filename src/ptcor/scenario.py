@@ -99,7 +99,7 @@ def _number(node, path: str, issues: list, kind=float):
     """`kind(node)`, or None after recording an issue at `path`."""
     try:
         return kind(node)
-    except (TypeError, ValueError):
+    except (TypeError, ValueError, OverflowError):  # OverflowError: int(inf)
         issues.append(f"{path}: expected a number, got {node!r}")
         return None
 
@@ -113,7 +113,7 @@ def _parse_matrix(node, path: str, issues: list) -> np.ndarray | None:
     data = node["data"]
     try:
         r, c = (int(v) for v in shape)
-    except (TypeError, ValueError):
+    except (TypeError, ValueError, OverflowError):  # OverflowError: int(inf)
         r = c = -1
     if not isinstance(shape, (list, tuple)) or r < 0 or c < 0:
         issues.append(f"{path}.shape: expected [rows, cols], got {shape!r}")
@@ -187,7 +187,7 @@ def scenario_from_dict(doc: dict, name_fallback: str = "scenario") -> Scenario:
         _known(g, ("followers", "edges"), "graph.", issues)
         try:
             network = network_from_edges(int(g["followers"]), g["edges"])
-        except (ValueError, TypeError) as exc:
+        except (ValueError, TypeError, OverflowError) as exc:
             issues.append(f"graph.edges: {exc}")
     n_followers = network.n_followers if network is not None else 0
 
@@ -217,8 +217,9 @@ def scenario_from_dict(doc: dict, name_fallback: str = "scenario") -> Scenario:
             continue
         _known(entry, ("copies",) + AGENT_MATRICES, f"agents[{k}].", issues)
         copies = _number(entry.get("copies", 1), f"agents[{k}].copies", issues, int)
-        if copies is not None and copies < 1:
-            issues.append(f"agents[{k}].copies: expected at least 1, got {copies}")
+        if copies is not None and not 1 <= copies <= max(1, n_followers):  # never more agents than followers
+            issues.append(f"agents[{k}].copies: expected 1 to {max(1, n_followers)}, got {copies}")
+            copies = None
         mats = {}
         for f in AGENT_MATRICES:
             if f not in entry:
@@ -230,7 +231,7 @@ def scenario_from_dict(doc: dict, name_fallback: str = "scenario") -> Scenario:
                 mats = None
                 break
             mats[f] = M
-        if mats is None or copies is None or copies < 1:
+        if mats is None or copies is None:
             continue
         try:
             for _ in range(copies):
@@ -303,7 +304,7 @@ def scenario_from_dict(doc: dict, name_fallback: str = "scenario") -> Scenario:
                     c3=float(bc.get("c3", 5.0)), c4=float(bc.get("c4", 1.1)),
                 ),
             )
-        except (TypeError, ValueError) as exc:
+        except (TypeError, ValueError, OverflowError) as exc:  # OverflowError: int(inf)
             issues.append(f"sim: {exc}")
     if sched is not None and cfg is not None:
         try:

@@ -36,17 +36,25 @@ end; a sample every ``stride`` steps, at each landing and at the end.  The
 plan holds an entry (t_lo, m, h, full) per stretch of equal steps in a
 sample interval, so it grows with the samples, not the steps.  Step times
 are the running sums t + dt + dt ..., which are the same floats when summed
-in blocks; planning and walking both sum 4096 steps at a time.
-`_drive` walks it with classic explicit RK4, and every linear map is
-y <- w (P y).reshape(len(w), dim): a full ``dt`` LTI step (past the horizon,
-the asymptotic baseline) is R with w = [1]; up to STEP_POLY_MAX_DIM states a
-full pre-horizon step with uncapped gains is five matrix coefficients with
-w = u^0 .. u^4 / d(u), u = mu(t) dt (`step_poly`), and an interval of one
-entry of m steps is R^m, or a power series in u (`interval_series`), when a
-bound on its partial products rules out an escape.  Up to RELAY_STEP_MAX_DIM
-a full fixed-time step is linear in y and its stage relays (`relay_step`).
-Other steps take the four stages of `rhs`; `Trajectory.stats` counts each
-kind.  Only the sampled (t, y) are kept, as `Trajectory.y`.
+in blocks of 4096 steps, each from the last float of the one before.
+
+A table of maps, then a walk.  `_table` turns the plan and the operator into
+rows before any state exists, and `_drive` only applies them with classic
+explicit RK4; every linear map is y <- w (P y).reshape(len(w), dim).  A
+product row is a sample interval of m full steps as one map, R^m or a power
+series in u = mu(t_lo) dt (`interval_series`), with a bound on its partial
+products; the walk applies it while that bound rules out an escape, and
+walks the interval otherwise.  Walked steps come in blocks of at most 4096
+steps of one stretch, each summed once and with one step function: past the
+horizon, and in the asymptotic baseline, R with w = [1]; up to
+STEP_POLY_MAX_DIM states a full pre-horizon step with uncapped gains is five
+matrix coefficients with w = u^0 .. u^4 / d(u), u = mu(t) dt (`step_poly`);
+up to RELAY_STEP_MAX_DIM a full fixed-time step is linear in y and its stage
+relays (`relay_step`); other steps take the four stages at their gains.  A
+walked row is the part of a block inside one sample interval, so the walk
+holds at most one interval's states: it escape-tests them at once, records
+the sample at the row's end and sums `Trajectory.stats` from the rows it
+applied.  Only the sampled (t, y) are kept, as `Trajectory.y`.
 """
 
 from __future__ import annotations
@@ -157,8 +165,8 @@ class SimConfig:
             value = getattr(self, name)
             if not (math.isfinite(value) and value > 0):
                 raise ValueError(f"{name} must be finite and positive, got {value}")
-        if self.stride < 1:
-            raise ValueError(f"stride must be >= 1, got {self.stride}")
+        if not 1 <= self.stride <= MAX_STEPS:  # no run has more steps than MAX_STEPS
+            raise ValueError(f"stride must be in [1, {MAX_STEPS:g}], got {self.stride}")
 
 
 def check_step_budget(schedule: MuSchedule, cfg: SimConfig) -> None:
@@ -595,108 +603,130 @@ def _plan(schedule: MuSchedule, cfg: SimConfig, guarded: bool):
             # Jump across the capped sliver [horizon - eps, horizon]; the
             # post-horizon branch continues from the clamped state.
             t = horizon
-            if t < end and not near(t, end):
-                record(t, k)
+            record(t, k)
     record(t, k)
     return np.concatenate(entries), samples
 
 
-def _drive(op: _Operator, y0: np.ndarray, schedule: MuSchedule, cfg: SimConfig):
-    """Walk the plan by sample interval.  Returns (times, samples, escaped, escape_time, diagnostic, stats)."""
-    entries, samples = _plan(schedule, cfg, op.guarded)
-    ts, ends = np.array([s for s, _ in samples]), np.r_[0, [k for _, k in samples]]
+def _lin(P: np.ndarray, w: np.ndarray, y: np.ndarray) -> np.ndarray:
+    """Every linear map of the walk: y <- w (P y).reshape(len(w), dim)."""
+    return w.dot(P.dot(y).reshape(len(w), -1))
+
+
+def _table(op: _Operator, schedule: MuSchedule, cfg: SimConfig, entries: np.ndarray, ks: np.ndarray,
+           ts: np.ndarray):
+    """Yield the rows that carry a run through the plan `entries`, whose samples take ks steps at times ts.
+
+    A product row (interval key, step key, n, P, w, bound) is a sample interval of n > 1 full steps as one
+    map y <- `_lin(P, w, y)`: R^n, or `interval_series` cut to the terms its tail needs; ||y|| bound bounds
+    every partial product.  The walk sends back whether it applied the row; if it did not, the interval's
+    steps follow as walked rows.  Walked steps are taken in blocks of at most 4096 steps of one stretch:
+    a block is summed once, and its step function, R or the relay step, the five-term step with its
+    weights u^0 .. u^4 / d(u), or four stages at their gains, is made once from those sums.  A walked row
+    (step key, o, c, tk, advance, j) is the c steps of one block that lie in one sample interval, from
+    step o of the block: tk holds the block's sums, advance(o + i, y) takes step i, and the samples
+    before j have been reached at the row's end.  The last row is None.
+    """
     t_lo, m, size, full = entries.T
-    steps, small, dim, full = np.diff(ends), op.dim <= STEP_POLY_MAX_DIM, op.dim, full == 1
-    horizon, eps, dt = schedule.horizon, schedule.eps, cfg.dt
-    # an entry's path: 2 for R or the relay step, 1 for the five-term step while uncapped, 0 for four stages
+    dim, dt, horizon, full = op.dim, cfg.dt, schedule.horizon, full == 1
+    k, small, one = np.r_[0, np.cumsum(m)].astype(int), dim <= STEP_POLY_MAX_DIM, np.ones(1)
+    # an entry's path: 2 for R or the relay step, 1 for the five-term step while its gains are uncapped
+    # (to its end, the next entry's start), 0 for four stages
     mapped = full & (dim <= RELAY_STEP_MAX_DIM if op.W is not None else (op.M1 is None) | (t_lo >= horizon))
-    paths = np.where(mapped, 2, full & op.guarded & small).tolist()
-    lin = lambda P, w, y: np.dot(w, np.dot(P, y).reshape(len(w), dim))  # every linear map: y <- w (P y)
-    R, Q, one = (op.step_map(dt) if op.W is None and mapped.any() else None), None, np.ones(1)
-    step = op.relay_step(dt) if op.W is not None and mapped.any() else functools.partial(lin, R, one)
-    k_lo = (np.cumsum(m) - m).astype(int)  # the steps taken before each entry
-    cut = k_lo[~full]  # a stretch of full steps ends where a clipped or guard-shrunk step starts
-    stop = np.r_[cut, ends[-1]][np.searchsorted(cut, k_lo)].tolist()  # where each entry's stretch ends
-    # An interval of one entry of more than one step is one product while a ||y|| bound rules out an escape:
-    # R^n for LTI steps, and for five-term steps uncapped to the interval's end, when enough intervals repay
-    # its build, `interval_series` cut to the terms its tail needs
-    idx = np.searchsorted(k_lo, ends)  # interval j holds entries idx[j] to idx[j + 1]
-    head = np.where((np.diff(idx) == 1) & (steps > 1), np.r_[paths, 0][idx[:-1]], -1)
-    jump, series, maps = small & (op.W is None) & (head == 2), (head == 1) & (horizon - ts > eps), {}
-    for n in set(steps[jump].tolist()):  # ||y|| max(1, ||R||)^n bounds ||R^j y||
-        entry = np.linalg.matrix_power(R, n), one, max(1, abs(R).sum(axis=1).max()) ** n
-        maps.update(dict.fromkeys(np.flatnonzero(jump & (steps == n)).tolist(), entry))
-    u = mu(schedule, np.r_[t_lo, horizon][idx[:-1]]) * dt  # mu(t_lo) dt of each interval's first entry
-    for n in set(steps[series].tolist()):
+    paths = np.where(mapped, 2, full & op.guarded & small & (horizon - np.r_[t_lo[1:], ts[-1]] > schedule.eps))
+    R = op.step_map(dt) if op.W is None and mapped.any() else None
+    step = op.relay_step(dt) if op.W is not None and mapped.any() else functools.partial(_lin, R, one)
+    Q = op.step_poly(dt) if (paths == 1).any() else None
+    # An entry that is a whole sample interval of more than one step is one product while a ||y|| bound rules
+    # out an escape: R^n for LTI steps, and for five-term steps, when enough intervals repay its build,
+    # `interval_series` cut to the terms its tail needs
+    whole = (np.diff(ks.searchsorted(k)) > 0) & (np.diff(ks.searchsorted(k, "right")) > 0) & (m > 1)
+    jump, series = whole & small & (op.W is None) & (paths == 2), whole & (paths == 1)
+    maps, u = {}, mu(schedule, t_lo) * dt  # the product rows by entry; u = mu(t_lo) dt
+    for n in set(m[jump].astype(int).tolist()):  # ||y|| max(1, ||R||)^n bounds ||R^j y||
+        row = ("jump_intervals", "jump_steps", n, np.linalg.matrix_power(R, n), one,
+               max(1, abs(R).sum(axis=1).max()) ** n)
+        maps.update(dict.fromkeys(np.flatnonzero(jump & (m == n)).tolist(), row))
+    for n in set(m[series].astype(int).tolist()):
         u_d, bound = op.series_reach(dt, n)
-        on = np.flatnonzero(series & (steps == n) & (u <= u_d[-1]))
+        on = np.flatnonzero(series & (m == n) & (u <= u_d[-1]))
         if len(on) >= SERIES_MIN_INTERVALS * dim:  # w = u^0 .. u^(c-1), c terms
             P, v = op.interval_series(dt, n), u[on]
             c, W, b = np.searchsorted(u_d, v) + 1, v[:, None] ** np.arange(SERIES_DEGREE + 1), bound(v)
-            maps.update((j, (P[:c[i] * dim], W[i, :c[i]], b[i])) for i, j in enumerate(on.tolist()))
+            maps.update((e, ("series_intervals", "series_steps", n, P[:c[i] * dim], W[i, :c[i]], b[i]))
+                        for i, e in enumerate(on.tolist()))
     f, tau, powers = op.stage if op.guarded else op.rhs, np.array([0.0, 0.5, 1.0]), np.arange(5)
     at = lambda t, h: mu(schedule, t + h * tau) if op.guarded else t + h * tau  # stage gains, or times for rhs
     first = at(t_lo[:, None], size[:, None])  # of each entry's first step: all that a one-step entry needs
-    walked = dict.fromkeys(("poly_steps", "map_steps", "stage_steps"), 0)  # the steps walked, by path
-    on_path, taken = ("stage_steps", "poly_steps", "map_steps"), np.zeros(len(steps), bool)  # paths 0, 1, 2
 
-    def stats(n):  # what the first n sample intervals took: products, and the steps walked
-        s, r = taken[:n] & ~jump[:n], taken[:n] & jump[:n]
-        return dict(series_intervals=int(s.sum()), series_steps=int(steps[:n][s].sum()),
-                    jump_intervals=int(r.sum()), jump_steps=int(steps[:n][r].sum()), **walked)
+    def rk4(h, g, y):  # one step of four stages at the gains (or times) g
+        k1 = f(g[0], y)
+        k2 = f(g[1], 0.5 * h * k1 + y)
+        k3 = f(g[1], 0.5 * h * k2 + y)
+        k4 = f(g[2], h * k3 + y)
+        return (h / 6.0) * (k1 + (k2 + k2) + (k3 + k3) + k4) + y
 
-    Y, rows, y = np.empty((len(ts), dim)), np.empty((min(max(steps, default=0), 4096), dim)), y0
-    # The running sums of the stretch being walked, up to 4096 steps ahead but not past its end, which its
-    # later full entries share: tk[i] is the time after step kb + i; rem = horizon - tk, and w the
-    # five-term weights of the steps from tk[:-1], made when a step first needs them
-    kb, tk, w = 0, np.zeros(1), None
+    # runs of walked entries: a clipped or guard-shrunk step, or the full steps of a stretch between products
+    # (a stretch's entries share one path: it ends before the clamp, and before the horizon)
+    cut = np.isin(np.arange(len(m)), np.fromiter(maps, int, len(maps))) | ~full
+    starts = np.flatnonzero(cut | np.r_[True, cut[:-1]]).tolist()
+    for e, e1 in zip(starts, starts[1:] + [len(m)]):
+        if e in maps and (yield maps[e]):
+            continue
+        tk, h, path = [t_lo[e]], size[e].item(), paths[e]
+        for b in range(k[e], k[e1], 4096):  # each block summed on from the last float of the one before
+            tk = _sums(tk[-1], h, min(k[e1] - b, 4096))
+            if path == 2:
+                key, advance = "map_steps", lambda i, y: step(y)
+            elif path == 1:
+                v = (1.0 / (horizon - tk[:-1, None])) * dt  # u = mu(t) dt
+                w = v ** powers / ((1.0 - 0.5 * v) ** 2 * (1.0 - v))  # u^0 .. u^4 / d(u)
+                key, advance = "poly_steps", lambda i, y, w=w: _lin(Q, w[i], y)
+            else:
+                g = at(tk[:-1, None], h) if full[e] else first[e:e + 1]
+                key, advance = "stage_steps", lambda i, y, g=g: rk4(h, g[i], y)
+            # a row per sample interval the block reaches into: inside a run the samples are every stride steps
+            cuts = [b, *range(b - b % cfg.stride + cfg.stride, b + len(tk) - 1, cfg.stride), b + len(tk) - 1]
+            for lo, hi, j in zip(cuts, cuts[1:], ks.searchsorted(cuts[1:], "right").tolist()):
+                yield key, lo - b, hi - lo, tk, advance, j
+    yield None
+
+
+def _drive(op: _Operator, y0: np.ndarray, schedule: MuSchedule, cfg: SimConfig):
+    """Apply the rows of `_table` from y0.  Returns (times, samples, escaped, escape_time, diagnostic, stats)."""
+    entries, samples = _plan(schedule, cfg, op.guarded)
+    ts, ks = np.array([t for t, _ in samples]), np.array([k for _, k in samples])
+    rows, taken, t_esc = _table(op, schedule, cfg, entries, ks, ts), None, None
+    stats = dict.fromkeys(("series_intervals", "series_steps", "jump_intervals", "jump_steps", "poly_steps",
+                           "map_steps", "stage_steps"), 0)
+    # a walked row holds at most the steps of one sample interval, and at most a block's 4096
+    Y, buf, y, j, stop = (np.empty((len(ts), op.dim)),
+                          np.empty((min(int(np.diff(ks).max(initial=0)), 4096), op.dim)), y0, 1, len(ts))
+    Y[0] = y0
     with np.errstate(all="ignore"):
-        for j, (lo, hi) in enumerate(zip(idx[:-1].tolist(), idx[1:].tolist())):
-            if j in maps and np.abs(y).max() * maps[j][2] <= 0.5 * ESCAPE_NORM:
-                (P, wj, _), taken[j] = maps[j], True
-                y = Y[j] = lin(P, wj, y)
-                continue
-            t_esc = None
-            for e in range(lo, hi):
-                (t, n, h, is_full), path, k = entries[e].tolist(), paths[e], int(k_lo[e])
-                for s in range(k, k + int(n), 4096):  # the entry 4096 steps at a time
-                    c = min(k + int(n) - s, 4096)
-                    if not (is_full and kb <= s and s + c < kb + len(tk)):  # not among the sums in hand
-                        t_s = t if s == k else float(tk[s - kb])  # or where the entry's last block ended
-                        kb, tk, w = s, _sums(t_s, h, min(stop[e] - s, 4096) if is_full else c), None
-                    b, on = s - kb, c if path else 0  # steps from tk[b:b + c], the first `on` on the path
-                    if path == 1:  # five-term steps, while the gains mu = 1 / rem are uncapped to their end
-                        if w is None:
-                            rem = horizon - tk
-                            v = (1.0 / rem[:-1, None]) * dt  # u = mu(t) dt
-                            w = v ** powers / ((1.0 - 0.5 * v) ** 2 * (1.0 - v))  # u^0 .. u^4 / d(u)
-                        if rem[b + c] <= eps:
-                            on = int(np.count_nonzero(rem[b + 1:b + c + 1] > eps))  # a prefix: the ends increase
-                        Q = op.step_poly(dt) if Q is None and on else Q
-                    if on < c:  # the rest take four stages
-                        gains = first[e:e + 1] if n == 1 else at(tk[b + on:b + c, None], h)
-                    for i in range(c):
-                        if i < on:
-                            y = step(y) if path == 2 else lin(Q, w[b + i], y)
-                        else:
-                            ga, gb, gc = gains[i - on]
-                            k1 = f(ga, y)
-                            k2 = f(gb, 0.5 * h * k1 + y)
-                            k3 = f(gb, 0.5 * h * k2 + y)
-                            k4 = f(gc, h * k3 + y)
-                            y = (h / 6.0) * (k1 + (k2 + k2) + (k3 + k3) + k4) + y
-                        rows[i] = y
-                    walked[on_path[path]] += on
-                    walked["stage_steps"] += c - on
-                    # NaN fails the comparison, so one test catches escaped and non-finite states
-                    ok = np.abs(rows[:c]).max(axis=1) <= ESCAPE_NORM
-                    if t_esc is None and not ok.all():
-                        t_esc = float(tk[b + 1 + ok.argmin()])
-            if t_esc is not None:  # the interval is walked to its end, and counted whole
-                diag = f"finite-escape detected at t = {t_esc:.9g} (state norm > {ESCAPE_NORM:g})"
-                return ts[:j], Y[:j], True, t_esc, diag, stats(j + 1)
-            Y[j] = y
-    return ts, Y, False, None, "", stats(len(steps))
+        while (row := rows.send(taken)) is not None:
+            if row[0] in ("jump_intervals", "series_intervals"):  # the next sample interval, if its bound allows
+                ikey, skey, n, P, w, bound = row
+                taken = np.abs(y).max() * bound <= 0.5 * ESCAPE_NORM
+                if taken:
+                    y = Y[j] = _lin(P, w, y)
+                    j += 1
+                    stats[ikey] += 1
+                    stats[skey] += n
+            else:
+                key, o, c, tk, advance, hi = row
+                for i in range(c):
+                    y = buf[i] = advance(o + i, y)
+                # NaN fails the comparison, so one test catches escaped and non-finite states
+                ok = np.abs(buf[:c]).max(axis=1) <= ESCAPE_NORM
+                if t_esc is None and not ok.all():  # the interval holding it, Y[j], is walked to its end
+                    t_esc, stop = float(tk[o + ok.argmin() + 1]), j
+                stats[key] += c
+                Y[j:hi], j = y, hi  # the samples at the row's end
+                if j > stop:
+                    return (ts[:stop], Y[:stop], True, t_esc,
+                            f"finite-escape detected at t = {t_esc:.9g} (state norm > {ESCAPE_NORM:g})", stats)
+    return ts, Y, False, None, "", stats
 
 
 def integrate(scenario, config: SimConfig | None = None,

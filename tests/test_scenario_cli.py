@@ -1,8 +1,13 @@
+import copy
+import tempfile
 from dataclasses import replace
+from pathlib import Path
 
 import numpy as np
 import pytest
 import yaml
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import ptcor.cli
 import ptcor.scenario
@@ -225,6 +230,8 @@ class TestCli:
         (("sim", "dt"), 1e-12, "sim.dt"),
         (("sim", "guard"), 1e-9, "sim.guard"),
         (("mu", "t0"), 6.0, "sim.duration"),  # the run would end (at 5) before it starts
+        (("agents", 0, "A", "shape"), [2, float("inf")], "agents[0].A.shape"),  # int(inf) overflows
+        (("sim", "stride"), 10**30, "sim"),  # more than MAX_STEPS, and past an int64
     ])
     def test_bad_value_is_schema_error(self, example1_doc, tmp_path, capsys, keys, value, field):
         node = example1_doc
@@ -295,6 +302,43 @@ class TestCli:
     def test_unknown_baseline_rejected(self, tmp_path, capsys):
         rc = main(["compare", "example1_rlc", "--baselines", "nope", "--out", str(tmp_path)])
         assert rc == 2
+
+
+def key_paths(node, path=()):
+    """Every key path into a loaded YAML document: the keys of its mappings and the positions in its lists."""
+    items = node.items() if isinstance(node, dict) else enumerate(node) if isinstance(node, list) else ()
+    for key, child in items:
+        yield path + (key,)
+        yield from key_paths(child, path + (key,))
+
+
+EXAMPLE1 = yaml.safe_load(resolve_path("example1_rlc").read_text(encoding="utf-8"))
+ODD_VALUES = [float("inf"), float("-inf"), float("nan"), -0.0, 1e308, 1e-300, 10**30, -1, 0, True, "", "x",
+              [], [1, 2], {}, None]
+DELETE = object()
+
+
+class TestCliMutations:
+    """One field of example1_rlc replaced by an odd value, or deleted: `check` and `certify` end in an
+    exit code, never in a traceback."""
+
+    @pytest.mark.filterwarnings("ignore")  # odd inputs warn (an unstable exosystem, overflow in a gain)
+    @settings(max_examples=25, deadline=None)
+    @given(path=st.sampled_from(list(key_paths(EXAMPLE1))), value=st.sampled_from(ODD_VALUES + [DELETE]))
+    def test_one_odd_field_ends_in_an_exit_code(self, path, value):
+        doc = copy.deepcopy(EXAMPLE1)
+        node = doc
+        for key in path[:-1]:
+            node = node[key]
+        if value is DELETE:
+            del node[path[-1]]
+        else:
+            node[path[-1]] = value
+        with tempfile.TemporaryDirectory() as out:
+            scenario = Path(out) / "mutated.yaml"
+            scenario.write_text(yaml.safe_dump(doc), encoding="utf-8")
+            assert main(["check", str(scenario)]) in (0, 2, 3, 4)
+            assert main(["certify", str(scenario), "--dt", "1e-3", "--out", out]) in (0, 2, 3, 4)
 
 
 LOADERS = [yaml.SafeLoader] + ([yaml.CSafeLoader] if hasattr(yaml, "CSafeLoader") else [])

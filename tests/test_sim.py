@@ -137,6 +137,12 @@ class TestSimConfig:
         with pytest.raises(ValueError, match=match):
             integrate(s, SimConfig(mode="state_fb", dt=dt, duration=duration))
 
+    def test_stride_is_at_most_max_steps(self):
+        # no run has more steps; a larger stride would reach the plan as an object array
+        assert SimConfig(stride=MAX_STEPS).stride == MAX_STEPS
+        with pytest.raises(ValueError, match="stride"):
+            SimConfig(stride=MAX_STEPS + 1)
+
     def test_budget_is_inclusive(self):
         sched = MuSchedule(T=1.0)
         check_step_budget(sched, SimConfig(dt=1.0, duration=float(MAX_STEPS)))
@@ -919,11 +925,48 @@ class TestRunStats:
         steps = sum(v for k, v in stats.items() if k.endswith("_steps"))
         assert sum(m for _, m, _, _ in entries) == steps == 500_035
 
+    @pytest.mark.parametrize("mode", PTCOR_MODES)
+    def test_only_clipped_and_shrunk_steps_take_four_stages(self, bundled_models, mode):
+        # every full pre-horizon step of a loop under STEP_POLY_MAX_DIM is a five-term step or in a product
+        scenario, model = bundled_models["example1_rlc"]
+        cfg = replace(scenario.sim_config, mode=mode, dt=1e-3)
+        stats = integrate(scenario, cfg, model=model).stats
+        assert stats["poly_steps"] > 0
+        entries = _plan(scenario.mu_schedule, cfg, True)[0]
+        assert stats["stage_steps"] == sum(m for _, m, _, full in entries if not full)
+
     def test_compare_run_stays_on_the_step_path(self, bundled_models):
         # ex2 at dt 5e-4 has about 180 intervals in reach of the series, fewer than repay its build
         scenario, model = bundled_models["example2_ccvsi"]
         cfg = replace(scenario.sim_config, mode="output_fb", dt=5e-4)
         assert integrate(scenario, cfg, model=model).stats["series_intervals"] == 0
+
+
+class TestStateScale:
+    """Every initial state times 2^k: the samples scale exactly and `stats` stay equal, so no escape bound
+    and no path choice depends on the state's scale (up to 2^10 here; ESCAPE_NORM is absolute)."""
+
+    @pytest.fixture(scope="class")
+    def runs(self, bundled_models):
+        out = {}
+        for name, (scenario, model) in bundled_models.items():
+            for mode in PTCOR_MODES:
+                cfg = replace(scenario.sim_config, mode=mode, dt=1e-3)
+                out[name, mode] = scenario, model, cfg, integrate(scenario, cfg, model=model)
+        return out
+
+    @pytest.mark.parametrize("k", [-60, -40, -1, 1, 10])
+    def test_samples_scale_exactly(self, runs, k):
+        scale = 2.0 ** k
+        for scenario, model, cfg, traj in runs.values():
+            with warnings.catch_warnings():
+                warnings.simplefilter("ignore", UserWarning)  # example2's neutrally stable exosystem
+                scaled = replace(scenario, exo=replace(scenario.exo, v0_init=scale * scenario.exo.v0_init),
+                                 v_init=scale * scenario.v_init, x_init=[scale * x for x in scenario.x_init],
+                                 xhat_init=[scale * x for x in scenario.xhat_init])
+            got = integrate(scaled, cfg, model=model)
+            assert np.array_equal(got.y, scale * traj.y)
+            assert got.stats == traj.stats
 
 
 class TestPlanProperty:
