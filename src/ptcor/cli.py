@@ -19,7 +19,7 @@ from .analysis import CertifyTolerances, EnvelopeParams, certify, compare_runs
 from .graph import has_leader_spanning_tree, observer_rate, partition_laplacian
 from .plant import RegulatorError, check_full_rank_io, check_regulation_rank
 from .scenario import Scenario, ScenarioError, load_scenario, write_scenario
-from .sim import MuSchedule, check_step_budget, compile_model, integrate
+from .sim import MODES, PTCOR_MODES, check_step_budget, compile_model, integrate
 from .synthesis import GainSpec, SynthesisError, verify_gains
 
 EXIT_OK = 0
@@ -34,10 +34,9 @@ def _apply_overrides(scenario: Scenario, args) -> Scenario:
                      (("--T", T), ("--mu-cap", mu_cap), ("--dt", dt)) if value is not None)
     sched, cfg = scenario.mu_schedule, scenario.sim_config
     try:
-        if T is not None or mu_cap is not None:
-            sched = MuSchedule(T=sched.T if T is None else T, t0=sched.t0,
-                               a=sched.a if T is None else None,
-                               mu_cap=sched.mu_cap if mu_cap is None else mu_cap)
+        # a new horizon resets a, for MuSchedule to set it for that horizon
+        sched = replace(sched, **({} if T is None else {"T": T, "a": None}),
+                        **({} if mu_cap is None else {"mu_cap": mu_cap}))
         changes = {k: v for k, v in (("mode", getattr(args, "mode", None)), ("dt", dt)) if v is not None}
         cfg = replace(cfg, **changes)
         if flags:
@@ -100,7 +99,7 @@ def cmd_check(args) -> int:
     parts = partition_laplacian(scenario.network)
     rates = observer_rate(parts)
     mode = scenario.sim_config.mode
-    if mode not in ("state_fb", "output_fb"):
+    if mode not in PTCOR_MODES:
         mode = "output_fb" if model.gains.Ltil is not None else "state_fb"
     report = verify_gains(mode, model.gains, rates, scenario.agents, model.regs)
     print(f"gain conditions ({mode}, rho_H = {rates.rho_H:.6g}):")
@@ -165,7 +164,7 @@ def cmd_certify(args) -> int:
     mode = scenario.sim_config.mode
     rpt_path = out / f"{scenario.name}_{mode}_report.txt"
     rpt_path.write_text(report.to_text() + "\n", encoding="utf-8")
-    if mode in ("state_fb", "output_fb"):
+    if mode in PTCOR_MODES:
         conditions = verify_gains(mode, model.gains, rates, scenario.agents, model.regs)
         cond_path = out / f"{scenario.name}_{mode}_conditions.txt"
         cond_path.write_text(conditions.to_text() + "\n", encoding="utf-8")
@@ -184,7 +183,7 @@ def cmd_compare(args) -> int:
             print(f"schema: unknown baseline {b!r} (use asymptotic, fixed_time)", file=sys.stderr)
             return EXIT_SCHEMA
     mode = scenario.sim_config.mode
-    if mode not in ("state_fb", "output_fb"):
+    if mode not in PTCOR_MODES:
         mode = "output_fb"
     model = compile_model(scenario)
     runs, labels = [], []
@@ -223,8 +222,7 @@ def build_parser() -> argparse.ArgumentParser:
         p.add_argument("scenario", help="scenario file path or bundled name "
                                         "(example1_rlc, example2_ccvsi)")
         if with_mode:
-            p.add_argument("--mode", choices=["state_fb", "output_fb",
-                                              "baseline_asymptotic", "baseline_fixed_time"])
+            p.add_argument("--mode", choices=MODES)
         p.add_argument("--T", type=float, help="override the prescribed horizon")
         p.add_argument("--mu-cap", dest="mu_cap", type=float, help="override the gain cap")
         p.add_argument("--dt", type=float, help="override the base step size")

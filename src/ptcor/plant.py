@@ -41,6 +41,11 @@ def _mat(value, rows, cols, name):
     return M
 
 
+def _rows_cols(value) -> tuple:
+    """The first two axes of `value`'s shape, -1 where it has fewer; `_mat` rejects all but two."""
+    return (np.shape(value) + (-1, -1))[:2]
+
+
 @dataclass(eq=False)
 class AgentModel:
     """State-space matrices of one follower; dimensions are cross-checked."""
@@ -56,33 +61,15 @@ class AgentModel:
     Fm: np.ndarray
 
     def __post_init__(self):
-        A = np.asarray(self.A, dtype=float)
-        if A.ndim != 2 or A.shape[0] != A.shape[1]:
-            raise ValueError(f"A must be square, got shape {A.shape}")
-        n = A.shape[0]
-        B = np.asarray(self.B, dtype=float)
-        if B.ndim != 2 or B.shape[0] != n:
-            raise ValueError(f"B must have {n} rows, got shape {B.shape}")
-        m = B.shape[1]
-        E = np.asarray(self.E, dtype=float)
-        if E.ndim != 2 or E.shape[0] != n:
-            raise ValueError(f"E must have {n} rows, got shape {E.shape}")
-        q = E.shape[1]
-        C = np.asarray(self.C, dtype=float)
-        if C.ndim != 2 or C.shape[1] != n:
-            raise ValueError(f"C must have {n} columns, got shape {C.shape}")
-        p = C.shape[0]
-        Cm = np.asarray(self.Cm, dtype=float)
-        if Cm.ndim != 2 or Cm.shape[1] != n:
-            raise ValueError(f"Cm must have {n} columns, got shape {Cm.shape}")
-        pm = Cm.shape[0]
-        self.A = _mat(A, n, n, "A")
-        self.B = _mat(B, n, m, "B")
-        self.E = _mat(E, n, q, "E")
-        self.C = _mat(C, p, n, "C")
+        # n, m, q, p, pm: the rows of A, the columns of B and E, the rows of C and Cm; _mat checks every shape
+        (n, _), (_, m), (_, q), (p, _), (pm, _) = map(_rows_cols, (self.A, self.B, self.E, self.C, self.Cm))
+        self.A = _mat(self.A, n, n, "A")
+        self.B = _mat(self.B, n, m, "B")
+        self.E = _mat(self.E, n, q, "E")
+        self.C = _mat(self.C, p, n, "C")
         self.D = _mat(self.D, p, m, "D")
         self.F = _mat(self.F, p, q, "F")
-        self.Cm = _mat(Cm, pm, n, "Cm")
+        self.Cm = _mat(self.Cm, pm, n, "Cm")
         self.Dm = _mat(self.Dm, pm, m, "Dm")
         self.Fm = _mat(self.Fm, pm, q, "Fm")
 
@@ -120,15 +107,10 @@ class Exosystem:
     v0_init: np.ndarray
 
     def __post_init__(self):
-        S = np.asarray(self.S0, dtype=float)
-        if S.ndim != 2 or S.shape[0] != S.shape[1]:
-            raise ValueError(f"S0 must be square, got shape {S.shape}")
-        v = np.asarray(self.v0_init, dtype=float).reshape(-1)
-        if v.shape[0] != S.shape[0]:
-            raise ValueError(f"v0_init has length {v.shape[0]}, expected {S.shape[0]}")
-        self.S0 = _mat(S, S.shape[0], S.shape[0], "S0")
-        self.v0_init = v
-        worst = float(np.linalg.eigvals(S).real.max())
+        q = _rows_cols(self.S0)[0]
+        self.S0 = _mat(self.S0, q, q, "S0")
+        self.v0_init = _mat(np.reshape(self.v0_init, (1, -1)), 1, q, "v0_init")[0]
+        worst = float(np.linalg.eigvals(self.S0).real.max())
         if worst > 1e-9:
             warnings.warn(
                 f"exosystem is not neutrally stable: max Re(eig(S0)) = {worst:.4g} > 0",

@@ -16,23 +16,18 @@ under ``ptcor/scenarios/`` for complete examples):
         B: ...  E: ...  C: ...  D: ...  F: ...  Cm: ...  Dm: ...  Fm: ...
     gains:
       psi: 8.0
-      Kbar: {shape: [m, n], data: [...]}           # single matrix = shared by all agents
+      Kbar: {shape: [m, n], data: [...]}           # one shared matrix, or a list of one per follower
       L:    {shape: [n, pm], data: [...]}
       mbar_K: 3.0                                  # directive: K = -B^{-1} mbar_K I
       mbar_L: 4.0                                  # directive: Ltil = mbar_L Cm^{-1}
       # K / Ktil / Ltil may also be given explicitly; Ktil defaults to U - Kbar X
-    mu:
+    mu:                                            # ptcor.sim.MuSchedule: T, t0, a, cap (its mu_cap)
       T: 2.0
-      t0: 0.0
-      a: 0.5                                       # optional, default 1/T
       cap: 1.0e6
-    sim:
+    sim:                                           # ptcor.sim.SimConfig: mode, dt, guard, duration, stride
       mode: output_fb
       dt: 1.0e-4
-      guard: 0.1
-      duration: 5.0
-      stride: 10
-      baseline_constants: {c1: 5.0, c2: 5.0, c3: 5.0, c4: 1.1}
+      baseline_constants: {c4: 1.1}                # ptcor.sim.BaselineConstants: c1 .. c4
     initial:
       x: [[2, 2], [0, 2], ...]                     # per agent; scalar broadcasts
       v: 0.0
@@ -42,6 +37,11 @@ Matrices always declare their shape next to row-major data; a mismatch is
 rejected with the offending field path, which catches silent transposition
 at the source.  A key outside this layout is rejected with its path as
 well, except ``sim.min_dt``, a retired step floor that is read and ignored.
+
+The ``mu`` and ``sim`` sections map their keys onto the fields of the
+dataclasses named above: a field the file omits takes the dataclass
+default, and each value is checked by the dataclass that owns it.  The
+``gains`` directives are checked the same way, by ``GainSpec``.
 """
 
 from __future__ import annotations
@@ -56,11 +56,23 @@ import yaml
 from .graph import Network, network_from_edges
 from .plant import AgentModel, Exosystem
 from .sim import BaselineConstants, MuSchedule, SimConfig, check_step_budget
-from .synthesis import GainSpec
+from .synthesis import GAIN_MATRICES, GainSpec
 
 BUNDLED = ("example1_rlc", "example2_ccvsi")
 YAML_LOADER = getattr(yaml, "CSafeLoader", yaml.SafeLoader)  # libyaml's parser when PyYAML has it
 AGENT_MATRICES = ("A", "B", "E", "C", "D", "F", "Cm", "Dm", "Fm")
+
+
+def _float_or_none(value):
+    return None if value is None else float(value)
+
+
+# file key -> (dataclass field, conversion) per section; `scenario_to_dict` echoes mu and sim through theirs
+GAIN_KEYS = {"psi": ("psi", float), "mbar_K": ("mbar_K", _float_or_none), "mbar_L": ("mbar_L", _float_or_none)}
+MU_KEYS = {"T": ("T", float), "t0": ("t0", float), "a": ("a", _float_or_none), "cap": ("mu_cap", float)}
+SIM_KEYS = {"mode": ("mode", str), "dt": ("dt", float), "guard": ("guard", float),
+            "duration": ("duration", float), "stride": ("stride", int)}
+BASELINE_KEYS = {c: (c, float) for c in ("c1", "c2", "c3", "c4")}
 
 
 class ScenarioError(ValueError):
@@ -102,6 +114,31 @@ def _number(node, path: str, issues: list, kind=float):
     except (TypeError, ValueError, OverflowError):  # OverflowError: int(inf)
         issues.append(f"{path}: expected a number, got {node!r}")
         return None
+
+
+def _section(cls, node: dict, keys: dict, path: str, issues: list, also: tuple = (), **given):
+    """`cls` from `given` and the keys of `node` that `keys` maps to its fields, or None after an issue.
+
+    A key of `node` outside `keys` and `also` is unknown.  Each value is converted by `_number` at its
+    field path, and `cls` rejects a bad one at `path`.  A key that `node` omits leaves its field at the
+    dataclass default.
+    """
+    _known(node, (*keys, *also), f"{path}.", issues)
+    before = len(issues)
+    kw = {name: _number(node[key], f"{path}.{key}", issues, kind) for key, (name, kind) in keys.items()
+          if key in node}
+    if len(issues) > before:
+        return None
+    try:
+        return cls(**kw, **given)
+    except ValueError as exc:
+        issues.append(f"{path}: {exc}")
+        return None
+
+
+def _echo(obj, keys: dict) -> dict:
+    """The section that `_section` reads back into `obj`."""
+    return {key: kind(getattr(obj, name)) for key, (name, kind) in keys.items()}
 
 
 def _parse_matrix(node, path: str, issues: list) -> np.ndarray | None:
@@ -147,13 +184,16 @@ def _parse_vector(node, length: int | None, path: str, issues: list) -> np.ndarr
     return v
 
 
-def _gain_entry(node, path: str, issues: list):
-    """A gain may be one shared matrix or a per-agent list of matrices."""
+def _gain_entry(node, n_followers: int, path: str, issues: list):
+    """A gain may be one shared matrix or a list of one matrix per follower."""
     if node is None:
         return None
-    if isinstance(node, list):
-        return [_parse_matrix(item, f"{path}[{i}]", issues) for i, item in enumerate(node)]
-    return _parse_matrix(node, path, issues)
+    if not isinstance(node, list):
+        return _parse_matrix(node, path, issues)
+    if len(node) != n_followers:
+        issues.append(f"{path}: expected one matrix per follower ({n_followers}), got {len(node)}")
+        return None
+    return [_parse_matrix(item, f"{path}[{i}]", issues) for i, item in enumerate(node)]
 
 
 def _broadcast_init(node, n_agents: int, dims: list, path: str, issues: list) -> list:
@@ -220,25 +260,13 @@ def scenario_from_dict(doc: dict, name_fallback: str = "scenario") -> Scenario:
         if copies is not None and not 1 <= copies <= max(1, n_followers):  # never more agents than followers
             issues.append(f"agents[{k}].copies: expected 1 to {max(1, n_followers)}, got {copies}")
             copies = None
-        mats = {}
-        for f in AGENT_MATRICES:
-            if f not in entry:
-                issues.append(f"agents[{k}].{f}: missing required matrix")
-                mats = None
-                break
-            M = _parse_matrix(entry[f], f"agents[{k}].{f}", issues)
-            if M is None:
-                mats = None
-                break
-            mats[f] = M
-        if mats is None or copies is None:
+        mats = {f: _parse_matrix(entry.get(f), f"agents[{k}].{f}", issues) for f in AGENT_MATRICES}
+        if copies is None or any(M is None for M in mats.values()):
             continue
         try:
-            for _ in range(copies):
-                agents.append(AgentModel(**{f: m.copy() for f, m in mats.items()}))
+            agents.extend(AgentModel(**{f: M.copy() for f, M in mats.items()}) for _ in range(copies))
         except ValueError as exc:
             issues.append(f"agents[{k}]: {exc}")
-            continue
     if network is not None and agents and len(agents) != n_followers:
         issues.append(f"agents: {len(agents)} agent models for {n_followers} followers")
     if exo is not None:
@@ -251,61 +279,30 @@ def scenario_from_dict(doc: dict, name_fallback: str = "scenario") -> Scenario:
     if not isinstance(gn, dict) or "psi" not in gn:
         issues.append("gains: expected a section with at least psi")
     else:
-        _known(gn, ("psi", "Kbar", "Ktil", "K", "L", "Ltil", "mbar_K", "mbar_L"), "gains.", issues)
-        gain_spec = GainSpec(
-            psi=_number(gn["psi"], "gains.psi", issues),
-            Kbar=_gain_entry(gn.get("Kbar"), "gains.Kbar", issues),
-            Ktil=_gain_entry(gn.get("Ktil"), "gains.Ktil", issues),
-            K=_gain_entry(gn.get("K"), "gains.K", issues),
-            L=_gain_entry(gn.get("L"), "gains.L", issues),
-            Ltil=_gain_entry(gn.get("Ltil"), "gains.Ltil", issues),
-            mbar_K=None if gn.get("mbar_K") is None else _number(gn["mbar_K"], "gains.mbar_K", issues),
-            mbar_L=None if gn.get("mbar_L") is None else _number(gn["mbar_L"], "gains.mbar_L", issues),
-        )
+        mats = {f: _gain_entry(gn.get(f), n_followers, f"gains.{f}", issues) for f in GAIN_MATRICES}
+        gain_spec = _section(GainSpec, gn, GAIN_KEYS, "gains", issues, also=GAIN_MATRICES, **mats)
 
     sched = None
     mu_node = doc.get("mu")
     if not isinstance(mu_node, dict) or "T" not in mu_node:
         issues.append("mu: expected a section with at least T")
     else:
-        _known(mu_node, ("T", "t0", "a", "cap"), "mu.", issues)
-        try:
-            sched = MuSchedule(
-                T=float(mu_node["T"]),
-                t0=float(mu_node.get("t0", 0.0)),
-                a=None if mu_node.get("a") is None else float(mu_node["a"]),
-                mu_cap=float(mu_node.get("cap", 1e6)),
-            )
-        except (TypeError, ValueError) as exc:
-            issues.append(f"mu: {exc}")
+        sched = _section(MuSchedule, mu_node, MU_KEYS, "mu", issues)
 
     cfg = None
     sim_node = doc.get("sim", {})
     if not isinstance(sim_node, dict):
         issues.append("sim: expected a mapping")
     else:
-        # min_dt is accepted and ignored: the step floor it set is gone, older files still carry it
-        _known(sim_node, ("mode", "dt", "guard", "duration", "stride", "baseline_constants", "min_dt"),
-               "sim.", issues)
         bc = sim_node.get("baseline_constants", {}) or {}
         if not isinstance(bc, dict):
             issues.append("sim.baseline_constants: expected a mapping")
             bc = {}
-        _known(bc, ("c1", "c2", "c3", "c4"), "sim.baseline_constants.", issues)
-        try:
-            cfg = SimConfig(
-                mode=str(sim_node.get("mode", "output_fb")),
-                dt=float(sim_node.get("dt", 1e-4)),
-                guard=float(sim_node.get("guard", 0.1)),
-                duration=float(sim_node.get("duration", 5.0)),
-                stride=int(sim_node.get("stride", 10)),
-                baseline=BaselineConstants(
-                    c1=float(bc.get("c1", 5.0)), c2=float(bc.get("c2", 5.0)),
-                    c3=float(bc.get("c3", 5.0)), c4=float(bc.get("c4", 1.1)),
-                ),
-            )
-        except (TypeError, ValueError, OverflowError) as exc:  # OverflowError: int(inf)
-            issues.append(f"sim: {exc}")
+        baseline = _section(BaselineConstants, bc, BASELINE_KEYS, "sim.baseline_constants", issues)
+        if baseline is not None:
+            # min_dt is accepted and ignored: the step floor it set is gone, older files still carry it
+            cfg = _section(SimConfig, sim_node, SIM_KEYS, "sim", issues, also=("baseline_constants", "min_dt"),
+                           baseline=baseline)
     if sched is not None and cfg is not None:
         try:
             check_step_budget(sched, cfg)
@@ -355,7 +352,11 @@ def load_scenario(path: str | Path) -> Scenario:
     return scenario_from_dict(doc, name_fallback=Path(str(p)).stem)
 
 
-def _matrix_dict(M: np.ndarray) -> dict:
+def _matrix_dict(M) -> dict | list:
+    """A matrix as its file node; a list of matrices as the list of their nodes."""
+    if isinstance(M, list):
+        return [_matrix_dict(m) for m in M]
+    M = np.asarray(M)
     return {"shape": [int(M.shape[0]), int(M.shape[1])],
             "data": [float(v) for v in M.reshape(-1)]}
 
@@ -365,22 +366,10 @@ def scenario_to_dict(s: Scenario) -> dict:
     edges = [[int(j), int(i), float(A[i, j])]
              for i in range(A.shape[0]) for j in range(A.shape[1]) if A[i, j] > 0]
 
-    def gain_node(value):
-        if value is None:
-            return None
-        if isinstance(value, list):
-            return [_matrix_dict(np.asarray(m)) for m in value]
-        return _matrix_dict(np.asarray(value))
-
-    gains = {"psi": float(s.gain_spec.psi)}
-    for f in ("Kbar", "Ktil", "K", "L", "Ltil"):
-        node = gain_node(getattr(s.gain_spec, f))
-        if node is not None:
-            gains[f] = node
-    if s.gain_spec.mbar_K is not None:
-        gains["mbar_K"] = float(s.gain_spec.mbar_K)
-    if s.gain_spec.mbar_L is not None:
-        gains["mbar_L"] = float(s.gain_spec.mbar_L)
+    spec = s.gain_spec
+    gains = {"psi": float(spec.psi),
+             **{f: _matrix_dict(getattr(spec, f)) for f in GAIN_MATRICES if getattr(spec, f) is not None},
+             **{f: float(getattr(spec, f)) for f in ("mbar_K", "mbar_L") if getattr(spec, f) is not None}}
 
     return {
         "name": s.name,
@@ -391,17 +380,9 @@ def scenario_to_dict(s: Scenario) -> dict:
             for a in s.agents
         ],
         "gains": gains,
-        "mu": {"T": float(s.mu_schedule.T), "t0": float(s.mu_schedule.t0),
-               "a": float(s.mu_schedule.a), "cap": float(s.mu_schedule.mu_cap)},
-        "sim": {
-            "mode": s.sim_config.mode, "dt": float(s.sim_config.dt),
-            "guard": float(s.sim_config.guard),
-            "duration": float(s.sim_config.duration), "stride": int(s.sim_config.stride),
-            "baseline_constants": {
-                "c1": float(s.sim_config.baseline.c1), "c2": float(s.sim_config.baseline.c2),
-                "c3": float(s.sim_config.baseline.c3), "c4": float(s.sim_config.baseline.c4),
-            },
-        },
+        "mu": _echo(s.mu_schedule, MU_KEYS),
+        "sim": {**_echo(s.sim_config, SIM_KEYS),
+                "baseline_constants": _echo(s.sim_config.baseline, BASELINE_KEYS)},
         "initial": {
             "x": [[float(v) for v in xi] for xi in s.x_init],
             "v": [[float(v) for v in row] for row in s.v_init],

@@ -36,7 +36,7 @@ end; a sample every ``stride`` steps, at each landing and at the end.  The
 plan holds an entry (t_lo, m, h, full) per stretch of equal steps in a
 sample interval, so it grows with the samples, not the steps.  Step times
 are the running sums t + dt + dt ..., which are the same floats when summed
-in blocks of 4096 steps, each from the last float of the one before.
+in blocks of BLOCK_STEPS steps, each from the last float of the one before.
 
 A table of maps, then a walk.  `_table` turns the plan and the operator into
 rows before any state exists, and `_drive` only applies them with classic
@@ -44,9 +44,9 @@ explicit RK4; every linear map is y <- w (P y).reshape(len(w), dim).  A
 product row is a sample interval of m full steps as one map, R^m or a power
 series in u = mu(t_lo) dt (`interval_series`), with a bound on its partial
 products; the walk applies it while that bound rules out an escape, and
-walks the interval otherwise.  Walked steps come in blocks of at most 4096
-steps of one stretch, each summed once and with one step function: past the
-horizon, and in the asymptotic baseline, R with w = [1]; up to
+walks the interval otherwise.  Walked steps come in blocks of at most
+BLOCK_STEPS steps of one stretch, each summed once and with one step
+function: past the horizon, and in the asymptotic baseline, R with w = [1]; up to
 STEP_POLY_MAX_DIM states a full pre-horizon step with uncapped gains is five
 matrix coefficients with w = u^0 .. u^4 / d(u), u = mu(t) dt (`step_poly`);
 up to RELAY_STEP_MAX_DIM a full fixed-time step is linear in y and its stage
@@ -82,6 +82,7 @@ STEP_POLY_MAX_DIM = 200  # with Q and R^m / without, one generated run: 64/74 ms
 RELAY_STEP_MAX_DIM = 88  # relay_step vs four stages at h = 1e-3: 58-79/100 us at dim 86, 79-108/69-98 at 92
 SERIES_DEGREE, SERIES_TAIL = 20, 1e-16  # the interval series is cut after u^20, its tail below 1e-16 ||y||
 SERIES_MIN_INTERVALS = 6  # x dim: its build (8-29 ms at dim 26-52) is repaid after 3.6-5.1 dim intervals
+BLOCK_STEPS = 4096  # steps summed at once by `_plan`, and in a walked block of `_table`: bounds `_drive`'s buffer
 
 MODES = ("state_fb", "output_fb", "baseline_asymptotic", "baseline_fixed_time")
 PTCOR_MODES = ("state_fb", "output_fb")
@@ -145,6 +146,11 @@ class BaselineConstants:
     c2: float = 5.0
     c3: float = 5.0
     c4: float = 1.1
+
+    def __post_init__(self):
+        for name, value in vars(self).items():
+            if not math.isfinite(value):
+                raise ValueError(f"{name} must be finite, got {value}")
 
 
 @dataclass
@@ -568,12 +574,12 @@ def _plan(schedule: MuSchedule, cfg: SimConfig, guarded: bool):
         boundary = min(clamp_t, end) if pre else end if past else min(horizon, end)
         h = min(dt, cfg.guard / mu(schedule, t)) if pre else dt
         if h == dt:
-            # the sums of t = t + dt, 4096 at a time; the leading steps that neither pass nor land
+            # the sums of t = t + dt, BLOCK_STEPS at a time; the leading steps that neither pass nor land
             # near() the boundary, nor are shrunk by the guard, are full steps, cut into entries at
             # the stride samples (none is near() an earlier one: dt spans MIN_DT_ULPS float spacings)
             cut_t, cut_k, more = [[t]], [[k]], True
             while more:
-                tk = _sums(t, dt, min(int((boundary - t) / dt) + 2, 4096))
+                tk = _sums(t, dt, min(int((boundary - t) / dt) + 2, BLOCK_STEPS))
                 nxt = tk[1:]
                 ok = (nxt <= boundary) & (np.abs(nxt - boundary) > TIME_RTOL * np.maximum(1.0, np.abs(nxt)))
                 if pre:
@@ -620,7 +626,7 @@ def _table(op: _Operator, schedule: MuSchedule, cfg: SimConfig, entries: np.ndar
     A product row (interval key, step key, n, P, w, bound) is a sample interval of n > 1 full steps as one
     map y <- `_lin(P, w, y)`: R^n, or `interval_series` cut to the terms its tail needs; ||y|| bound bounds
     every partial product.  The walk sends back whether it applied the row; if it did not, the interval's
-    steps follow as walked rows.  Walked steps are taken in blocks of at most 4096 steps of one stretch:
+    steps follow as walked rows.  Walked steps are taken in blocks of at most BLOCK_STEPS steps of one stretch:
     a block is summed once, and its step function, R or the relay step, the five-term step with its
     weights u^0 .. u^4 / d(u), or four stages at their gains, is made once from those sums.  A walked row
     (step key, o, c, tk, advance, j) is the c steps of one block that lie in one sample interval, from
@@ -674,8 +680,8 @@ def _table(op: _Operator, schedule: MuSchedule, cfg: SimConfig, entries: np.ndar
         if e in maps and (yield maps[e]):
             continue
         tk, h, path = [t_lo[e]], size[e].item(), paths[e]
-        for b in range(k[e], k[e1], 4096):  # each block summed on from the last float of the one before
-            tk = _sums(tk[-1], h, min(k[e1] - b, 4096))
+        for b in range(k[e], k[e1], BLOCK_STEPS):  # each block summed on from the last float of the one before
+            tk = _sums(tk[-1], h, min(k[e1] - b, BLOCK_STEPS))
             if path == 2:
                 key, advance = "map_steps", lambda i, y: step(y)
             elif path == 1:
@@ -699,9 +705,9 @@ def _drive(op: _Operator, y0: np.ndarray, schedule: MuSchedule, cfg: SimConfig):
     rows, taken, t_esc = _table(op, schedule, cfg, entries, ks, ts), None, None
     stats = dict.fromkeys(("series_intervals", "series_steps", "jump_intervals", "jump_steps", "poly_steps",
                            "map_steps", "stage_steps"), 0)
-    # a walked row holds at most the steps of one sample interval, and at most a block's 4096
+    # a walked row holds at most the steps of one sample interval, and at most a block's BLOCK_STEPS
     Y, buf, y, j, stop = (np.empty((len(ts), op.dim)),
-                          np.empty((min(int(np.diff(ks).max(initial=0)), 4096), op.dim)), y0, 1, len(ts))
+                          np.empty((min(int(np.diff(ks).max(initial=0)), BLOCK_STEPS), op.dim)), y0, 1, len(ts))
     Y[0] = y0
     with np.errstate(all="ignore"):
         while (row := rows.send(taken)) is not None:

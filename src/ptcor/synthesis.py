@@ -40,6 +40,7 @@ KTIL_CONSISTENCY_TOL = 1e-8
 # A boundary-inclusive (>=) row passes within this fraction of its bound: rates from
 # eigen- and Lyapunov solves that sit on a bound by construction round a few ulps either side.
 BOUNDARY_RTOL = 1e-12
+GAIN_MATRICES = ("Kbar", "Ktil", "K", "L", "Ltil")  # the matrices of a GainSpec, each shared or per agent
 
 
 class SynthesisError(ValueError):
@@ -148,36 +149,35 @@ def check_ptor_output(Ltil, Cm) -> tuple[bool, float]:
     return (min_re > 1.0, float(min_re))
 
 
+def _scaled_inverse(M, mbar: float, gain: str, of: str, directive: str) -> np.ndarray:
+    """mbar M^{-1} for the closed-form gain `gain`, from the square invertible matrix `of` and mbar > 1."""
+    Mm = np.asarray(M, dtype=float)
+    if Mm.ndim != 2 or Mm.shape[0] != Mm.shape[1]:
+        raise SynthesisError(f"closed-form {gain} needs square {of}, got shape {Mm.shape}")
+    if mbar <= 1.0:
+        raise SynthesisError(f"{directive} must exceed 1 (got {mbar}); otherwise the loop is too slow")
+    try:
+        with np.errstate(over="ignore"):  # an overflow is reported below, as a non-finite gain
+            out = mbar * np.linalg.inv(Mm)
+    except np.linalg.LinAlgError as exc:
+        raise SynthesisError(f"closed-form {gain} needs invertible {of}") from exc
+    if not np.isfinite(out).all():
+        raise SynthesisError(f"{directive} = {mbar:g} gives a non-finite closed-form {gain}")
+    return out
+
+
 def synthesize_K(B, mbar: float) -> np.ndarray:
     """Closed-form state gain K = -B^{-1} mbar I, giving B K = -mbar I.
 
     Requires square invertible B and mbar > 1; the certified rate is then
     exactly mbar (with P = I).
     """
-    Bm = np.asarray(B, dtype=float)
-    if Bm.ndim != 2 or Bm.shape[0] != Bm.shape[1]:
-        raise SynthesisError(f"closed-form K needs square B, got shape {Bm.shape}")
-    if mbar <= 1.0:
-        raise SynthesisError(f"mbar must exceed 1 (got {mbar}); otherwise B K = -mbar I is too slow")
-    try:
-        B_inv = np.linalg.inv(Bm)
-    except np.linalg.LinAlgError as exc:
-        raise SynthesisError("closed-form K needs invertible B") from exc
-    return -mbar * B_inv
+    return -_scaled_inverse(B, mbar, "K", "B", "mbar_K")
 
 
 def synthesize_Ltil(Cm, mbar: float) -> np.ndarray:
     """Closed-form injection gain Ltil = mbar (Cm)^{-1}, giving Ltil Cm = mbar I."""
-    Cmm = np.asarray(Cm, dtype=float)
-    if Cmm.ndim != 2 or Cmm.shape[0] != Cmm.shape[1]:
-        raise SynthesisError(f"closed-form Ltil needs square Cm, got shape {Cmm.shape}")
-    if mbar <= 1.0:
-        raise SynthesisError(f"mbar must exceed 1 (got {mbar})")
-    try:
-        Cm_inv = np.linalg.inv(Cmm)
-    except np.linalg.LinAlgError as exc:
-        raise SynthesisError("closed-form Ltil needs invertible Cm") from exc
-    return mbar * Cm_inv
+    return _scaled_inverse(Cm, mbar, "Ltil", "Cm", "mbar_L")
 
 
 def certify_rate(Mcl) -> tuple[np.ndarray, float]:
@@ -289,7 +289,8 @@ class GainSpec:
     Any of Kbar/Ktil/K/L/Ltil may be a single matrix (shared by all agents)
     or a per-agent list.  Missing K and Ltil are built from the closed-form
     rules when mbar_K / mbar_L are given; a missing Ktil is always derived
-    as U - Kbar X from the regulator solution.
+    as U - Kbar X from the regulator solution.  psi must be finite and
+    positive, and a directive finite; mbar > 1 is checked by the rule.
     """
 
     psi: float
@@ -301,11 +302,17 @@ class GainSpec:
     mbar_K: float | None = None
     mbar_L: float | None = None
 
+    def __post_init__(self):
+        if not 0 < self.psi < np.inf:  # NaN fails too
+            raise ValueError(f"psi must be finite and positive, got {self.psi}")
+        for name, value in (("mbar_K", self.mbar_K), ("mbar_L", self.mbar_L)):
+            if value is not None and not -np.inf < value < np.inf:
+                raise ValueError(f"{name} must be finite, got {value}")
+
     def _per_agent(self, value, n_agents: int, name: str):
         if value is None:
             return None
-        if isinstance(value, (list, tuple)) and value and isinstance(value[0], (list, tuple, np.ndarray)) \
-                and np.asarray(value[0]).ndim == 2:
+        if isinstance(value, (list, tuple)) and all(np.ndim(v) == 2 for v in value):  # [] is a list of no matrices
             mats = [np.asarray(v, dtype=float) for v in value]
             if len(mats) != n_agents:
                 raise SynthesisError(f"{name}: got {len(mats)} matrices for {n_agents} agents")
@@ -319,22 +326,21 @@ def build_gain_set(spec: GainSpec, agents: list, regs: list) -> GainSet:
     n_agents = len(agents)
     if len(regs) != n_agents:
         raise SynthesisError("need one regulator solution per agent")
-    if spec.psi <= 0:
-        raise SynthesisError(f"psi must be positive, got {spec.psi}")
 
-    kbar = spec._per_agent(spec.Kbar, n_agents, "Kbar")
+    kbar, ktil, kk, ll, ltil = (spec._per_agent(getattr(spec, name), n_agents, name) for name in GAIN_MATRICES)
+    for i, a in enumerate(agents):  # the given gains: a derived or closed-form one has its shape by construction
+        shapes = ((a.m, a.n), (a.m, a.q), (a.m, a.n), (a.n, a.pm), (a.n, a.pm))
+        for name, mats, shape in zip(GAIN_MATRICES, (kbar, ktil, kk, ll, ltil), shapes):
+            if mats is not None and mats[i].shape != shape:
+                raise SynthesisError(f"{name}[{i}] has shape {mats[i].shape}, expected {shape}")
     if kbar is None:
         kbar = [np.zeros((a.m, a.n)) for a in agents]
-    ktil = spec._per_agent(spec.Ktil, n_agents, "Ktil")
     if ktil is None:
         ktil = [reg.U - kb @ reg.X for reg, kb in zip(regs, kbar)]
-    kk = spec._per_agent(spec.K, n_agents, "K")
     if kk is None:
         if spec.mbar_K is None:
             raise SynthesisError("no K gain: give explicit K or the directive mbar_K")
         kk = [synthesize_K(a.B, spec.mbar_K) for a in agents]
-    ll = spec._per_agent(spec.L, n_agents, "L")
-    ltil = spec._per_agent(spec.Ltil, n_agents, "Ltil")
     if ltil is None and spec.mbar_L is not None:
         ltil = [synthesize_Ltil(a.Cm, spec.mbar_L) for a in agents]
     if ltil is not None and ll is None:
@@ -344,16 +350,6 @@ def build_gain_set(spec: GainSpec, agents: list, regs: list) -> GainSet:
             "output-injection gains incomplete: L given without Ltil "
             "(give explicit Ltil or the directive mbar_L)"
         )
-
-    for i, (a, kb, kt, km) in enumerate(zip(agents, kbar, ktil, kk)):
-        for name, M, shape in (("Kbar", kb, (a.m, a.n)), ("Ktil", kt, (a.m, a.q)), ("K", km, (a.m, a.n))):
-            if M.shape != shape:
-                raise SynthesisError(f"{name}[{i}] has shape {M.shape}, expected {shape}")
-    if ltil is not None:
-        for i, (a, lm, lt) in enumerate(zip(agents, ll, ltil)):
-            for name, M, shape in (("L", lm, (a.n, a.pm)), ("Ltil", lt, (a.n, a.pm))):
-                if M.shape != shape:
-                    raise SynthesisError(f"{name}[{i}] has shape {M.shape}, expected {shape}")
 
     def certificates(mats) -> tuple[list, list]:
         # (P, rate) per loop matrix; None where the matrix is not Hurwitz

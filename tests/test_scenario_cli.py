@@ -22,7 +22,7 @@ from ptcor.scenario import (
     scenario_to_dict,
     write_scenario,
 )
-from ptcor.sim import compile_model
+from ptcor.sim import MuSchedule, SimConfig, compile_model
 
 
 @pytest.fixture()
@@ -94,6 +94,13 @@ class TestLoadScenario:
         example1_doc["initial"]["x"] = [[1.0, 1.0]]
         with pytest.raises(ScenarioError, match=r"initial\.x"):
             scenario_from_dict(example1_doc)
+
+    def test_omitted_run_fields_take_the_dataclass_defaults(self, example1_doc):
+        example1_doc["mu"] = {"T": 2}
+        del example1_doc["sim"]
+        s = scenario_from_dict(example1_doc)
+        assert s.mu_schedule == MuSchedule(T=2.0) and type(s.mu_schedule.T) is float
+        assert s.sim_config == SimConfig()
 
     def test_errors_are_collected(self, example1_doc):
         example1_doc["agents"][0]["A"] = {"shape": [2, 2], "data": [1, 2, 3]}
@@ -232,6 +239,12 @@ class TestCli:
         (("mu", "t0"), 6.0, "sim.duration"),  # the run would end (at 5) before it starts
         (("agents", 0, "A", "shape"), [2, float("inf")], "agents[0].A.shape"),  # int(inf) overflows
         (("sim", "stride"), 10**30, "sim"),  # more than MAX_STEPS, and past an int64
+        (("gains", "Kbar"), [], "gains.Kbar"),  # a per-agent list needs one matrix per follower
+        (("gains", "psi"), float("nan"), "gains"),
+        (("gains", "psi"), 0.0, "gains"),
+        (("gains", "mbar_K"), float("inf"), "gains"),
+        (("gains", "mbar_L"), float("nan"), "gains"),
+        (("sim", "baseline_constants"), {"c4": float("nan")}, "sim.baseline_constants"),
     ])
     def test_bad_value_is_schema_error(self, example1_doc, tmp_path, capsys, keys, value, field):
         node = example1_doc
@@ -298,6 +311,15 @@ class TestCli:
         err = capsys.readouterr().err
         assert rc == 4
         assert err.startswith("synthesis:") and "Ktil" in err
+
+    def test_closed_form_gain_that_overflows_is_synthesis_error(self, example1_doc, tmp_path, capsys):
+        example1_doc["gains"]["mbar_K"] = 1e308  # finite, but 1e308 B^{-1} is not
+        path = tmp_path / "huge_mbar.yaml"
+        path.write_text(yaml.safe_dump(example1_doc), encoding="utf-8")
+        rc = main(["check", str(path)])
+        err = capsys.readouterr().err
+        assert rc == 4
+        assert err.startswith("synthesis:") and "mbar_K" in err
 
     def test_unknown_baseline_rejected(self, tmp_path, capsys):
         rc = main(["compare", "example1_rlc", "--baselines", "nope", "--out", str(tmp_path)])

@@ -677,7 +677,7 @@ class TestDriveMatchesOracle:
     def test_entries_longer_than_a_block(self):
         # At stride 10 000 the first sample interval holds 4990 full pre-horizon steps before the guard
         # shrinks them, and the escape falls 4240 steps into a walked post-horizon interval of 10 000:
-        # both are walked 4096 steps at a time, each block summed on from the last time of the one before
+        # both are walked BLOCK_STEPS steps at a time, each block summed on from the last time of the one before
         s = scalar_scenario(T=10.0, duration=40.0)
         s.gain_spec = replace(s.gain_spec, Kbar=np.array([[3.0]]))
         s.mu_schedule = MuSchedule(T=10.0, a=0.1)
@@ -687,7 +687,7 @@ class TestDriveMatchesOracle:
         assert t_esc == ref[3] and diag == ref[4]
         assert np.array_equal(t, ref[0])
         assert (np.abs(Y - ref[1]) <= 1e-10 * np.abs(ref[1]).max(axis=0)).all()
-        assert round((t_esc - t[-1]) / cfg.dt) > 4096
+        assert round((t_esc - t[-1]) / cfg.dt) > ptcor.sim.BLOCK_STEPS
 
     @pytest.mark.parametrize("mode", MODES)
     def test_step_landing_near_a_boundary_is_clipped(self, mode):
