@@ -16,6 +16,7 @@ and cannot be met by finite-precision data.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -177,8 +178,9 @@ def compare_runs(runs: list, at: float, labels: list | None = None,
                  tol: float | None = None) -> list:
     """Rank runs by ||e(at)||, ascending; ties keep input order.
 
-    Every run must have a sample within `tol` of `at` (default: one
-    sampling stride of the coarsest run).
+    A run that escaped before `at` ranks after every run that reached it,
+    with ||e(at)|| = inf.  Every other run must have a sample within `tol`
+    of `at` (default: one sampling stride of that run).
     """
     if not runs:
         raise ValueError("no runs to compare")
@@ -187,6 +189,9 @@ def compare_runs(runs: list, at: float, labels: list | None = None,
         raise ValueError("one label per run required")
     rows = []
     for label, traj in zip(labels, runs):
+        if traj.finite_escape and traj.escape_time < at:
+            rows.append((label, math.inf))
+            continue
         if tol is None:
             strides = np.diff(traj.t)
             run_tol = float(strides.max()) if len(strides) else 1e-9

@@ -9,6 +9,7 @@ simulation:, analysis:).
 from __future__ import annotations
 
 import argparse
+import math
 import sys
 from dataclasses import replace
 from pathlib import Path
@@ -196,15 +197,19 @@ def cmd_compare(args) -> int:
         labels.append(b)
     at = scenario.mu_schedule.horizon
     table = compare_runs(runs, at=at, labels=labels)
+    escapes = {label: run.escape_time for label, run in zip(labels, runs)}
+
+    def text(label, value, fmt, name=""):  # an infinite ||e(at)|| is a run that escaped before `at`
+        return f"escaped at t = {escapes[label]:{fmt}}" if math.isinf(value) else f"{name}{value:{fmt}}"
     out = _out_dir(args)
     path = out / f"{scenario.name}_comparison.csv"
     with open(path, "w", encoding="utf-8") as fh:
         fh.write(f"controller, ||e|| at t={at:.15g}\n")
         for label, value in table:
-            fh.write(f"{label}, {value:.15g}\n")
+            fh.write(f"{label}, {text(label, value, '.15g')}\n")
     print(f"wrote {path}")
     for label, value in table:
-        print(f"  {label:>16}: ||e({at:g})|| = {value:.6g}")
+        print(f"  {label:>16}: {text(label, value, '.6g', f'||e({at:g})|| = ')}")
     for run, label in zip(runs, labels):
         p = out / f"{scenario.name}_{label}_trajectory.csv"
         run.to_csv(p)

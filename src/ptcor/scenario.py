@@ -108,12 +108,17 @@ def _known(node: dict, keys: tuple, path: str, issues: list) -> None:
 
 
 def _number(node, path: str, issues: list, kind=float):
-    """`kind(node)`, or None after recording an issue at `path`."""
+    """`kind(node)`, or None after recording an issue at `path`.  An int field takes an integral value
+    only: 10.0 loads as 10, and 10.9 is rejected rather than loaded as 10."""
     try:
-        return kind(node)
+        value = kind(node)
     except (TypeError, ValueError, OverflowError):  # OverflowError: int(inf)
         issues.append(f"{path}: expected a number, got {node!r}")
         return None
+    if kind is int and isinstance(node, float) and value != node:  # int() truncates the fraction
+        issues.append(f"{path}: expected an integer, got {node!r}")
+        return None
+    return value
 
 
 def _section(cls, node: dict, keys: dict, path: str, issues: list, also: tuple = (), **given):

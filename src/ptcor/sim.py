@@ -47,7 +47,7 @@ products; the walk applies it while that bound rules out an escape, and
 walks the interval otherwise.  Walked steps come in blocks of at most
 BLOCK_STEPS steps of one stretch, each summed once and with one step
 function: past the horizon, and in the asymptotic baseline, R with w = [1]; up to
-STEP_POLY_MAX_DIM states a full pre-horizon step with uncapped gains is five
+DENSE_MAX_DIM states a full pre-horizon step with uncapped gains is five
 matrix coefficients with w = u^0 .. u^4 / d(u), u = mu(t) dt (`step_poly`);
 up to RELAY_STEP_MAX_DIM a full fixed-time step is linear in y and its stage
 relays (`relay_step`); other steps take the four stages at their gains.  A
@@ -55,6 +55,20 @@ walked row is the part of a block inside one sample interval, so the walk
 holds at most one interval's states: it escape-tests them at once, records
 the sample at the row's end and sums `Trajectory.stats` from the rows it
 applied.  Only the sampled (t, y) are kept, as `Trajectory.y`.
+
+Dense up to the cap, CSR above it.  DENSE_MAX_DIM decides both the form of
+the operator and the maps: up to it `M01` is dense, with Q, the series and
+R^m; above it `M01` (so M0 and M1) and `step_map`'s R are `scipy.sparse` CSR
+and every full step is walked, with four stages before the horizon and
+y <- R y after it.  The followers couple only through the observer's
+H (x) I_q, and every agent block is block-diagonal, so `M01` is about 1%
+nonzero (1630 of 168 200 entries at generated N = 48 under the local
+observer), and a CSR stage costs a few microseconds where the dense one
+multiplies every zero.  Q, the series and R^m stay dense-only: built on a
+CSR loop they fill in (R^10 is 9.6% nonzero at N = 48), the dense
+(5 dim, dim) Q costs memory: runs measured slower at N = 96 and 192 (150
+against 117 ms, 639 against 307 ms), and the peak RSS of certifying N = 8,
+24 and 48 in one process rose from 74 to 86 MB (2 vCPUs, one BLAS thread).
 """
 
 from __future__ import annotations
@@ -78,7 +92,9 @@ ESCAPE_NORM = 1e9
 TIME_RTOL = 1e-15
 MAX_STEPS = 10**7  # bounds a run's time (a plan holds numbers per sample, not per step); 200x a bundled run
 MIN_DT_ULPS = 10**6  # float spacings of |t| in dt: a step moves the clock by dt to 5e-7 relative
-STEP_POLY_MAX_DIM = 200  # with Q and R^m / without, one generated run: 64/74 ms at dim 194, 103/94 at 230
+# dense with Q, the series and R^m / CSR with four stages and R, one generated run: 35/51 ms at dim 146,
+# 49-52/54-55 at 170, 63-65/53-58 at 194 (kept dense: its runs stay bit-identical), 108/63 at 230, 248/68 at 290
+DENSE_MAX_DIM = 200
 RELAY_STEP_MAX_DIM = 88  # relay_step vs four stages at h = 1e-3: 58-79/100 us at dim 86, 79-108/69-98 at 92
 SERIES_DEGREE, SERIES_TAIL = 20, 1e-16  # the interval series is cut after u^20, its tail below 1e-16 ||y||
 SERIES_MIN_INTERVALS = 6  # x dim: its build (8-29 ms at dim 26-52) is repaid after 3.6-5.1 dim intervals
@@ -396,10 +412,16 @@ class _Operator:
             M0.append((vt, vt, m.S0_blk - g.psi * m.Hq))
         elif mode == "baseline_fixed_time":
             M0.append((vt, vt, m.S0_blk - constants.c1 * m.Hq))
-        # M0 and M1 are views into one (2 dim, dim) array, so a stage is one product
-        self.dim, self.M01 = dim, np.zeros((2 * dim if self.guarded else dim, dim))
-        self.M0 = _place(self.M01[:dim], M0)
-        self.M1 = _place(self.M01[dim:], M1) if self.guarded else None
+        # M0 and M1 are the row blocks of one (2 dim, dim) array, so a stage is one product
+        M01 = np.zeros((2 * dim if self.guarded else dim, dim))
+        _place(M01[:dim], M0)
+        if self.guarded:
+            _place(M01[dim:], M1)
+        if dim > DENSE_MAX_DIM:  # about 1% nonzero above the cap: the agent blocks and H (x) I_q
+            import scipy.sparse
+            M01 = scipy.sparse.csr_array(M01)
+        self.dim, self.M01, self.M0 = dim, M01, M01[:dim]
+        self.M1 = M01[dim:] if self.guarded else None
 
         mt, pm = len(m.K_blk), len(m.Cm_blk)
         self.U0 = _place(np.zeros((mt, dim)), U0)
@@ -442,12 +464,16 @@ class _Operator:
 
     def stage(self, gain: float, y: np.ndarray) -> np.ndarray:
         """(M0 + gain M1) y of a prescribed-time mode, from one stacked product."""
-        z = np.dot(self.M01, y)
+        z = self.M01.dot(y)
         return gain * z[self.dim:] + z[:self.dim]
 
-    def step_map(self, h: float) -> np.ndarray:
-        """R with y <- R y one RK4 step of h on the LTI loop from the horizon on."""
-        R, f = np.eye(self.dim), lambda g, Y: {0: self.rhs(self.schedule.horizon, Y[0])}
+    def step_map(self, h: float):
+        """R with y <- R y one RK4 step of h on the LTI loop from the horizon on; CSR on a CSR operator."""
+        f = lambda g, Y: {0: self.rhs(self.schedule.horizon, Y[0])}
+        if not isinstance(self.M01, np.ndarray):  # the step on the sparse identity, every form sparse
+            import scipy.sparse
+            return _rk4_forms(h, {0: scipy.sparse.eye_array(self.dim, format="csr")}, f)[0]
+        R = np.eye(self.dim)
         for X in np.hsplit(R, range(32, self.dim, 32)):  # views into R, so that R is the only full-size array
             X[...] = _rk4_forms(h, {0: X}, f)[0]
         return R
@@ -468,7 +494,7 @@ class _Operator:
         # T[tau][d, j] = tau^(d-1-j) / h for j < d: the u-coefficients of mu(t + tau h) Z from those of Z
         T = {tau: np.where(e >= 0, tau ** e.clip(0) / h, 0.0) for tau in np.arange(2 * m + 1) / 2}
         def f(tau, X):  # (M0 + gain M1) X on the coefficients X[:, d] of u^d
-            Z = np.dot(self.M01, X.reshape(dim, -1)).reshape(2, dim, K + 1, -1)
+            Z = self.M01.dot(X.reshape(dim, -1)).reshape(2, dim, K + 1, -1)
             return Z[0] + np.matmul(T[tau], Z[1])
         for c in range(0, dim, 16):
             X = np.zeros((dim, K + 1, min(16, dim - c)))
@@ -497,7 +523,7 @@ class _Operator:
         dim, nw, args, Gab = self.dim, len(self.W), [], np.hstack([self.G * self.a, self.G * self.b])
         def f(g, Y):  # M0 Y + Gab r_g, noting the stage argument Y
             args.append(Y)
-            return {**{e: np.dot(self.M0, C) for e, C in Y.items()}, g: Gab}
+            return {**{e: self.M0.dot(C) for e, C in Y.items()}, g: Gab}
         phi = _rk4_forms(h, {-1: np.eye(dim)}, f)
         P, c4 = np.vstack([phi[-1]] + [np.dot(self.W, Y[-1]) for Y in args]), self.c4
         C, r, py = np.hstack([phi[g] for g in range(4)]), np.empty((4, 2, nw)), np.empty(len(P))  # r[g] = r_g
@@ -635,7 +661,7 @@ def _table(op: _Operator, schedule: MuSchedule, cfg: SimConfig, entries: np.ndar
     """
     t_lo, m, size, full = entries.T
     dim, dt, horizon, full = op.dim, cfg.dt, schedule.horizon, full == 1
-    k, small, one = np.r_[0, np.cumsum(m)].astype(int), dim <= STEP_POLY_MAX_DIM, np.ones(1)
+    k, small, one = np.r_[0, np.cumsum(m)].astype(int), dim <= DENSE_MAX_DIM, np.ones(1)
     # an entry's path: 2 for R or the relay step, 1 for the five-term step while its gains are uncapped
     # (to its end, the next entry's start), 0 for four stages
     mapped = full & (dim <= RELAY_STEP_MAX_DIM if op.W is not None else (op.M1 is None) | (t_lo >= horizon))

@@ -1,5 +1,6 @@
 import copy
 import tempfile
+import warnings
 from dataclasses import replace
 from pathlib import Path
 
@@ -102,6 +103,11 @@ class TestLoadScenario:
         assert s.mu_schedule == MuSchedule(T=2.0) and type(s.mu_schedule.T) is float
         assert s.sim_config == SimConfig()
 
+    def test_integral_floats_load_as_integers(self, example1_doc):
+        example1_doc["sim"]["stride"], example1_doc["agents"][0]["copies"] = 10.0, 6.0
+        s = scenario_from_dict(example1_doc)
+        assert s.sim_config.stride == 10 and type(s.sim_config.stride) is int and len(s.agents) == 6
+
     def test_errors_are_collected(self, example1_doc):
         example1_doc["agents"][0]["A"] = {"shape": [2, 2], "data": [1, 2, 3]}
         del example1_doc["mu"]
@@ -192,6 +198,21 @@ class TestCli:
         assert table[0].startswith("controller")
         assert len(table) == 3  # header + ptcor + asymptotic
 
+    def test_compare_ranks_an_escaped_run_last(self, example1_doc, tmp_path, capsys):
+        # with c4 = -1 the fixed-time relay |z|^-1 escapes on the first step, long before the horizon
+        example1_doc["sim"]["baseline_constants"] = {"c4": -1}
+        path = tmp_path / "escaping.yaml"
+        path.write_text(yaml.safe_dump(example1_doc), encoding="utf-8")
+        with warnings.catch_warnings():
+            warnings.simplefilter("ignore", RuntimeWarning)  # the relay's 0^-1
+            rc = main(["compare", str(path), "--dt", "1e-3", "--baselines", "fixed_time,asymptotic",
+                       "--out", str(tmp_path)])
+        assert rc == 0
+        table = (tmp_path / "example1_rlc_comparison.csv").read_text().splitlines()
+        assert [row.split(", ")[0] for row in table[1:]] == ["ptcor_output_fb", "asymptotic", "fixed_time"]
+        assert table[-1] == "fixed_time, escaped at t = 0.001"
+        assert "fixed_time: escaped at t = 0.001" in capsys.readouterr().out
+
     def test_schema_error_exit_code(self, tmp_path, capsys):
         bad = tmp_path / "bad.yaml"
         bad.write_text("name: broken\n")
@@ -245,6 +266,9 @@ class TestCli:
         (("gains", "mbar_K"), float("inf"), "gains"),
         (("gains", "mbar_L"), float("nan"), "gains"),
         (("sim", "baseline_constants"), {"c4": float("nan")}, "sim.baseline_constants"),
+        # an integer field would truncate a fraction: 6 copies, a stride of 10
+        (("agents", 0, "copies"), 6.5, "agents[0].copies"),
+        (("sim", "stride"), 10.9, "sim.stride"),
     ])
     def test_bad_value_is_schema_error(self, example1_doc, tmp_path, capsys, keys, value, field):
         node = example1_doc

@@ -4,13 +4,15 @@ from dataclasses import astuple, replace
 
 import numpy as np
 import pytest
+import yaml
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 import ptcor.sim
+from perfbench import generate
 from ptcor.graph import network_from_edges
 from ptcor.plant import AgentModel, Exosystem
-from ptcor.scenario import Scenario, load_scenario
+from ptcor.scenario import Scenario, load_scenario, scenario_from_dict
 from ptcor.sim import (
     CSV_FIXED_COLUMNS,
     ESCAPE_NORM,
@@ -19,7 +21,7 @@ from ptcor.sim import (
     PTCOR_MODES,
     RELAY_STEP_MAX_DIM,
     SERIES_DEGREE,
-    STEP_POLY_MAX_DIM,
+    DENSE_MAX_DIM,
     BaselineConstants,
     MuSchedule,
     SimConfig,
@@ -603,9 +605,11 @@ ORACLE_RUNS = {}
 def oracle_drive(op, y0, schedule, cfg):
     """`tests.oracle.drive`, run once per input: the `_drive` test classes below share its runs, and
     the oracle reads none of the constants they patch.  The key is the content of every input, never an
-    id(): models are rebuilt per test, and the ids of dead ones are reused."""
+    id(): models are rebuilt per test, and the ids of dead ones are reused.  A CSR `M01` keys by its
+    dense content, so a loop gives one key whichever form its operator holds."""
     arrays = [getattr(op, name, None) for name in ("M01", "W", "G", "a", "b")]
-    key = (*(None if A is None else (A.shape, A.tobytes()) for A in arrays), getattr(op, "c4", None),
+    dense = [A.toarray() if hasattr(A, "toarray") else A for A in arrays]
+    key = (*(None if A is None else (A.shape, A.tobytes()) for A in dense), getattr(op, "c4", None),
            op.schedule, schedule, astuple(cfg), y0.tobytes())
     if key not in ORACLE_RUNS:
         ORACLE_RUNS[key] = drive(op, y0, schedule, cfg)
@@ -707,11 +711,35 @@ class TestDriveMatchesOracle:
 
 
 class TestDriveWithoutStepPolynomials(TestDriveMatchesOracle):
-    """The same checks with STEP_POLY_MAX_DIM = 0: every full pre-horizon step takes the four stages."""
+    """The same checks with DENSE_MAX_DIM = 0, so every loop is above the cap: its operator holds `M01`
+    as CSR, every full pre-horizon step takes the four stages on it, every past-horizon step is y <- R y
+    with a CSR `R`, and the fixed-time relay step multiplies its CSR `M0` into dense forms."""
 
     @pytest.fixture(autouse=True)
     def no_step_polynomials(self, monkeypatch):
-        monkeypatch.setattr(ptcor.sim, "STEP_POLY_MAX_DIM", 0)
+        monkeypatch.setattr(ptcor.sim, "DENSE_MAX_DIM", 0)
+
+
+class TestSparseOperator:
+    """Generated N = 48 under the local observer (dim 290) is above DENSE_MAX_DIM: its CSR operator
+    against a dense copy of it, built with the cap raised."""
+
+    def test_csr_products_match_a_dense_copy(self, monkeypatch):
+        s = scenario_from_dict(yaml.safe_load(generate.scenario_yaml(48, seed=1)), name_fallback="n48")
+        model, cfg = compile_model(s), replace(s.sim_config, mode="output_fb")
+        op, stats = _Operator(model, cfg.mode, cfg.baseline), integrate(s, cfg, model=model).stats
+        assert (stats["map_steps"], stats["stage_steps"]) == (1000, 1079)
+        monkeypatch.setattr(ptcor.sim, "DENSE_MAX_DIM", op.dim)
+        dense = _Operator(model, cfg.mode, cfg.baseline)
+        assert op.dim == 290 > DENSE_MAX_DIM and isinstance(dense.M01, np.ndarray)
+        assert all(type(M).__name__ == "csr_array" for M in (op.M01, op.M0, op.M1, op.step_map(cfg.dt)))
+
+        def close(got, expected):
+            return np.abs(got - expected).max() <= 1e-15 * np.abs(expected).max()
+        y, horizon = np.random.default_rng(5).standard_normal(op.dim), s.mu_schedule.horizon
+        assert all(close(op.stage(g, y), dense.stage(g, y)) for g in (0.0, 1.0, 1e6))
+        assert all(close(op.rhs(t, y), dense.rhs(t, y)) for t in (0.0, 0.5 * horizon, horizon + 1.0))
+        assert close(op.step_map(cfg.dt).toarray(), dense.step_map(cfg.dt))
 
 
 class TestDriveWithoutIntervalSeries(TestDriveMatchesOracle):
@@ -741,7 +769,7 @@ class TestStepBasis:
         return out
 
     def test_dimensions_are_under_the_cap(self, polys):
-        assert all(op.dim <= STEP_POLY_MAX_DIM for op, *_ in polys.values())
+        assert all(op.dim <= DENSE_MAX_DIM for op, *_ in polys.values())
 
     @settings(max_examples=100, deadline=None)
     @given(case=st.sampled_from(BASIS_CASES), frac=st.floats(0.0, 1.0), seed=st.integers(0, 2**32 - 1))
@@ -927,7 +955,7 @@ class TestRunStats:
 
     @pytest.mark.parametrize("mode", PTCOR_MODES)
     def test_only_clipped_and_shrunk_steps_take_four_stages(self, bundled_models, mode):
-        # every full pre-horizon step of a loop under STEP_POLY_MAX_DIM is a five-term step or in a product
+        # every full pre-horizon step of a loop under DENSE_MAX_DIM is a five-term step or in a product
         scenario, model = bundled_models["example1_rlc"]
         cfg = replace(scenario.sim_config, mode=mode, dt=1e-3)
         stats = integrate(scenario, cfg, model=model).stats
