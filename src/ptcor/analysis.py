@@ -174,13 +174,12 @@ def certify(traj: Trajectory, sched: MuSchedule,
     )
 
 
-def compare_runs(runs: list, at: float, labels: list | None = None,
-                 tol: float | None = None) -> list:
+def compare_runs(runs: list, at: float, labels: list | None = None) -> list:
     """Rank runs by ||e(at)||, ascending; ties keep input order.
 
     A run that escaped before `at` ranks after every run that reached it,
-    with ||e(at)|| = inf.  Every other run must have a sample within `tol`
-    of `at` (default: one sampling stride of that run).
+    with ||e(at)|| = inf.  Every other run must have a sample within its
+    longest sampling interval of `at`.
     """
     if not runs:
         raise ValueError("no runs to compare")
@@ -192,12 +191,8 @@ def compare_runs(runs: list, at: float, labels: list | None = None,
         if traj.finite_escape and traj.escape_time < at:
             rows.append((label, math.inf))
             continue
-        if tol is None:
-            strides = np.diff(traj.t)
-            run_tol = float(strides.max()) if len(strides) else 1e-9
-        else:
-            run_tol = tol
-        idx = traj.index_at(at, tol=run_tol)
+        strides = np.diff(traj.t)
+        idx = traj.index_at(at, tol=float(strides.max()) if len(strides) else 1e-9)
         rows.append((label, float(traj.e_norm[idx])))
     order = sorted(range(len(rows)), key=lambda i: rows[i][1])
     return [rows[i] for i in order]

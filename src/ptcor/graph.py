@@ -44,6 +44,8 @@ def network_from_edges(n_followers: int, edges) -> Network:
     """Build a Network from an edge list of (from_node, to_node, weight)."""
     A = np.zeros((n_followers + 1, n_followers + 1))
     for k, (src, dst, w) in enumerate(edges):
+        if any(isinstance(v, float) and not v.is_integer() for v in (src, dst)):  # int() truncates a fraction
+            raise ValueError(f"edges[{k}]: node not an integer: ({src}, {dst})")
         src, dst = int(src), int(dst)
         if not (0 <= src <= n_followers and 0 <= dst <= n_followers):
             raise ValueError(f"edges[{k}]: node out of range: ({src}, {dst})")

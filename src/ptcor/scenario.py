@@ -153,13 +153,14 @@ def _parse_matrix(node, path: str, issues: list) -> np.ndarray | None:
     _known(node, ("shape", "data"), f"{path}.", issues)
     shape = node["shape"]
     data = node["data"]
-    try:
-        r, c = (int(v) for v in shape)
-    except (TypeError, ValueError, OverflowError):  # OverflowError: int(inf)
-        r = c = -1
-    if not isinstance(shape, (list, tuple)) or r < 0 or c < 0:
+    before = len(issues)
+    dims = [_number(v, f"{path}.shape", issues, int) for v in shape] if isinstance(shape, (list, tuple)) else []
+    if len(issues) > before:
+        return None
+    if len(dims) != 2 or min(dims) < 0:
         issues.append(f"{path}.shape: expected [rows, cols], got {shape!r}")
         return None
+    r, c = dims
     try:
         flat = np.asarray(data, dtype=float).reshape(-1)
     except (TypeError, ValueError):
@@ -230,8 +231,9 @@ def scenario_from_dict(doc: dict, name_fallback: str = "scenario") -> Scenario:
         issues.append("graph: expected {followers: N, edges: [[from, to, weight], ...]}")
     else:
         _known(g, ("followers", "edges"), "graph.", issues)
+        n = _number(g["followers"], "graph.followers", issues, int)
         try:
-            network = network_from_edges(int(g["followers"]), g["edges"])
+            network = None if n is None else network_from_edges(n, g["edges"])
         except (ValueError, TypeError, OverflowError) as exc:
             issues.append(f"graph.edges: {exc}")
     n_followers = network.n_followers if network is not None else 0

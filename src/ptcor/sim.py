@@ -38,9 +38,15 @@ sample interval, so it grows with the samples, not the steps.  Step times
 are the running sums t + dt + dt ..., which are the same floats when summed
 in blocks of BLOCK_STEPS steps, each from the last float of the one before.
 
+One RK4 step.  `_rk4` is the only classic RK4 step: on a state it takes a
+walked step, on the identity it builds R, on power-series coefficients Q and
+the interval series, and on the columns [y | r_0 .. r_3] the relay step.  Its
+derivative is `_Operator.stage(gain, y)` in every mode, at the gains
+mu(t + tau h), tau = 0, 1/2, 1/2, 1.
+
 A table of maps, then a walk.  `_table` turns the plan and the operator into
-rows before any state exists, and `_drive` only applies them with classic
-explicit RK4; every linear map is y <- w (P y).reshape(len(w), dim).  A
+rows before any state exists, and `_drive` only applies them; every linear
+map is y <- w (P y).reshape(len(w), dim).  A
 product row is a sample interval of m full steps as one map, R^m or a power
 series in u = mu(t_lo) dt (`interval_series`), with a bound on its partial
 products; the walk applies it while that bound rules out an escape, and
@@ -345,14 +351,14 @@ def compile_model(scenario) -> ClosedLoopModel:
                            gains, regs, scenario.mu_schedule)
 
 
-def _rk4_forms(h: float, y: dict, f) -> dict:
-    """One classic RK4 step of h on forms, which map keys to coefficient arrays; f(g, Y) is the derivative
-    at stage g with argument Y."""
-    combine = lambda *ts: {e: sum(s * P[e] for s, P in ts if e in P) for e in {e for _, P in ts for e in P}}
-    k = [f(0, y)]
-    for g, s in ((1, h / 2), (2, h / 2), (3, h)):
-        k.append(f(g, combine((1.0, y), (s, k[-1]))))
-    return combine((1.0, y), *zip((h / 6, h / 3, h / 3, h / 6), k))
+def _rk4(h: float, f, y, g):
+    """One classic RK4 step of h from y, a vector, a dense block of columns or a CSR array alike; f(g[s], Y)
+    is the derivative at stage s = 0 .. 3 with argument Y."""
+    k1 = f(g[0], y)
+    k2 = f(g[1], y + h / 2 * k1)
+    k3 = f(g[2], y + h / 2 * k2)
+    k4 = f(g[3], y + h * k3)
+    return y + h / 6 * k1 + h / 3 * k2 + h / 3 * k3 + h / 6 * k4
 
 
 def _place(out: np.ndarray, blocks: list) -> np.ndarray:
@@ -455,28 +461,27 @@ class _Operator:
         return np.concatenate(parts)
 
     def rhs(self, t: float, y: np.ndarray) -> np.ndarray:
-        if self.M1 is not None:
-            return self.stage(mu(self.schedule, t), y)
-        if self.W is None:
-            return self.M0 @ y
-        z = self.W @ y
-        return self.M0 @ y + self.G @ (self.a * np.sign(z) + self.b * sig(z, self.c4))
+        return self.stage(mu(self.schedule, t), y)
 
     def stage(self, gain: float, y: np.ndarray) -> np.ndarray:
-        """(M0 + gain M1) y of a prescribed-time mode, from one stacked product."""
+        """y' at the gain `gain` in every mode, from one stacked product: (M0 + gain M1) y, M0 y without M1,
+        plus G rho(W y) under the relay."""
         z = self.M01.dot(y)
-        return gain * z[self.dim:] + z[:self.dim]
+        if self.M1 is not None:
+            z = gain * z[self.dim:] + z[:self.dim]
+        if self.W is not None:
+            w = self.W @ y
+            z = z + self.G @ (self.a * np.sign(w) + self.b * sig(w, self.c4))
+        return z
 
     def step_map(self, h: float):
         """R with y <- R y one RK4 step of h on the LTI loop from the horizon on; CSR on a CSR operator."""
-        f = lambda g, Y: {0: self.rhs(self.schedule.horizon, Y[0])}
-        if not isinstance(self.M01, np.ndarray):  # the step on the sparse identity, every form sparse
+        if isinstance(self.M01, np.ndarray):
+            eye = np.eye(self.dim)
+        else:  # the step on the sparse identity, every stage sparse
             import scipy.sparse
-            return _rk4_forms(h, {0: scipy.sparse.eye_array(self.dim, format="csr")}, f)[0]
-        R = np.eye(self.dim)
-        for X in np.hsplit(R, range(32, self.dim, 32)):  # views into R, so that R is the only full-size array
-            X[...] = _rk4_forms(h, {0: X}, f)[0]
-        return R
+            eye = scipy.sparse.eye_array(self.dim, format="csr")
+        return _rk4(h, self.stage, eye, [mu(self.schedule, self.schedule.horizon)] * 4)
 
     def step_poly(self, h: float) -> np.ndarray:
         """Q with y <- w (Q y).reshape(5, dim), w = u^0 .. u^4 / d(u), one RK4 step of h from a time t with
@@ -500,7 +505,7 @@ class _Operator:
             X = np.zeros((dim, K + 1, min(16, dim - c)))
             X[c:c + 16, 0] = np.eye(X.shape[2])
             for i in range(m):
-                X = _rk4_forms(h, {0: X}, lambda g, Y: {0: f(i + (0, 0.5, 0.5, 1)[g], Y[0])})[0]
+                X = _rk4(h, f, X, i + np.array([0.0, 0.5, 0.5, 1.0]))
             P[:, :, c:c + 16] = X.transpose(1, 0, 2)
         return P.reshape(-1, dim)
 
@@ -518,16 +523,19 @@ class _Operator:
     def relay_step(self, h: float):
         """y -> one RK4 step of h on the fixed-time loop y' = M0 y + G rho(W y).  The relay enters only
         through r_g = [sign z_g; sig(z_g, c4)] at the stage arguments z_g (a and b folded into G), so
-        the step is linear in y and r_1 .. r_4: P y stacks R y and the y parts of z_1 .. z_4, z_g
-        adds D_g r_<g, and the new state is R y + C r.  The forms are {-1: on y, g: on r_g}."""
+        the step is linear in y and r_0 .. r_3.  `_rk4` on the columns [y | r_0 .. r_3] of one array gives
+        [R | C]; P y stacks R y and the y parts of z_0 .. z_3, z_g adds D_g r_<g, and the new state is
+        R y + C r."""
         dim, nw, args, Gab = self.dim, len(self.W), [], np.hstack([self.G * self.a, self.G * self.b])
         def f(g, Y):  # M0 Y + Gab r_g, noting the stage argument Y
             args.append(Y)
-            return {**{e: self.M0.dot(C) for e, C in Y.items()}, g: Gab}
-        phi = _rk4_forms(h, {-1: np.eye(dim)}, f)
-        P, c4 = np.vstack([phi[-1]] + [np.dot(self.W, Y[-1]) for Y in args]), self.c4
-        C, r, py = np.hstack([phi[g] for g in range(4)]), np.empty((4, 2, nw)), np.empty(len(P))  # r[g] = r_g
-        D = [np.dot(self.W, np.hstack([Y[e] for e in range(g)])) if g else None for g, Y in enumerate(args)]
+            Z = self.M0.dot(Y)
+            Z[:, dim + 2 * nw * g:dim + 2 * nw * (g + 1)] += Gab
+            return Z
+        phi = _rk4(h, f, np.eye(dim, dim + 8 * nw), range(4))
+        P, c4 = np.vstack([phi[:, :dim]] + [np.dot(self.W, Y[:, :dim]) for Y in args]), self.c4
+        C, r, py = phi[:, dim:].copy(), np.empty((4, 2, nw)), np.empty(len(P))  # r[g] = r_g; C contiguous
+        D = [np.dot(self.W, Y[:, dim:dim + 2 * nw * g]) if g else None for g, Y in enumerate(args)]
         stages = list(zip(py[dim:].reshape(4, nw), D, [r[:g].reshape(-1) for g in range(4)], r))
 
         def step(y):
@@ -540,6 +548,7 @@ class _Operator:
             return np.dot(C, r.reshape(-1)) + py[:dim]
         return step
 
+    @np.errstate(all="ignore")  # as in the walk: an escaped sample, or |0|^c4 with c4 < 0, is no warning
     def signals(self, t: np.ndarray, Y: np.ndarray) -> dict:
         """Every recorded column of the samples `Y` (S x dim) taken at times `t`."""
         mus = mu(self.schedule, t)
@@ -687,16 +696,9 @@ def _table(op: _Operator, schedule: MuSchedule, cfg: SimConfig, entries: np.ndar
             c, W, b = np.searchsorted(u_d, v) + 1, v[:, None] ** np.arange(SERIES_DEGREE + 1), bound(v)
             maps.update((e, ("series_intervals", "series_steps", n, P[:c[i] * dim], W[i, :c[i]], b[i]))
                         for i, e in enumerate(on.tolist()))
-    f, tau, powers = op.stage if op.guarded else op.rhs, np.array([0.0, 0.5, 1.0]), np.arange(5)
-    at = lambda t, h: mu(schedule, t + h * tau) if op.guarded else t + h * tau  # stage gains, or times for rhs
-    first = at(t_lo[:, None], size[:, None])  # of each entry's first step: all that a one-step entry needs
-
-    def rk4(h, g, y):  # one step of four stages at the gains (or times) g
-        k1 = f(g[0], y)
-        k2 = f(g[1], 0.5 * h * k1 + y)
-        k3 = f(g[1], 0.5 * h * k2 + y)
-        k4 = f(g[2], h * k3 + y)
-        return (h / 6.0) * (k1 + (k2 + k2) + (k3 + k3) + k4) + y
+    # the stage gains mu(t + tau h), here of each entry's first step: all that a one-step entry needs
+    tau, powers = np.array([0.0, 0.5, 0.5, 1.0]), np.arange(5)
+    first = mu(schedule, t_lo[:, None] + size[:, None] * tau)
 
     # runs of walked entries: a clipped or guard-shrunk step, or the full steps of a stretch between products
     # (a stretch's entries share one path: it ends before the clamp, and before the horizon)
@@ -711,12 +713,12 @@ def _table(op: _Operator, schedule: MuSchedule, cfg: SimConfig, entries: np.ndar
             if path == 2:
                 key, advance = "map_steps", lambda i, y: step(y)
             elif path == 1:
-                v = (1.0 / (horizon - tk[:-1, None])) * dt  # u = mu(t) dt
+                v = mu(schedule, tk[:-1, None]) * dt  # u = mu(t) dt
                 w = v ** powers / ((1.0 - 0.5 * v) ** 2 * (1.0 - v))  # u^0 .. u^4 / d(u)
                 key, advance = "poly_steps", lambda i, y, w=w: _lin(Q, w[i], y)
             else:
-                g = at(tk[:-1, None], h) if full[e] else first[e:e + 1]
-                key, advance = "stage_steps", lambda i, y, g=g: rk4(h, g[i], y)
+                g = mu(schedule, tk[:-1, None] + h * tau) if full[e] else first[e:e + 1]
+                key, advance = "stage_steps", lambda i, y, g=g: _rk4(h, op.stage, y, g[i])
             # a row per sample interval the block reaches into: inside a run the samples are every stride steps
             cuts = [b, *range(b - b % cfg.stride + cfg.stride, b + len(tk) - 1, cfg.stride), b + len(tk) - 1]
             for lo, hi, j in zip(cuts, cuts[1:], ks.searchsorted(cuts[1:], "right").tolist()):

@@ -1,6 +1,5 @@
 import copy
 import tempfile
-import warnings
 from dataclasses import replace
 from pathlib import Path
 
@@ -203,15 +202,14 @@ class TestCli:
         example1_doc["sim"]["baseline_constants"] = {"c4": -1}
         path = tmp_path / "escaping.yaml"
         path.write_text(yaml.safe_dump(example1_doc), encoding="utf-8")
-        with warnings.catch_warnings():
-            warnings.simplefilter("ignore", RuntimeWarning)  # the relay's 0^-1
-            rc = main(["compare", str(path), "--dt", "1e-3", "--baselines", "fixed_time,asymptotic",
-                       "--out", str(tmp_path)])
+        rc = main(["compare", str(path), "--dt", "1e-3", "--baselines", "fixed_time,asymptotic",
+                   "--out", str(tmp_path)])
         assert rc == 0
         table = (tmp_path / "example1_rlc_comparison.csv").read_text().splitlines()
         assert [row.split(", ")[0] for row in table[1:]] == ["ptcor_output_fb", "asymptotic", "fixed_time"]
         assert table[-1] == "fixed_time, escaped at t = 0.001"
-        assert "fixed_time: escaped at t = 0.001" in capsys.readouterr().out
+        out, err = capsys.readouterr()
+        assert "fixed_time: escaped at t = 0.001" in out and err == ""  # no numpy warning from the relay's 0^-1
 
     def test_schema_error_exit_code(self, tmp_path, capsys):
         bad = tmp_path / "bad.yaml"
@@ -269,6 +267,11 @@ class TestCli:
         # an integer field would truncate a fraction: 6 copies, a stride of 10
         (("agents", 0, "copies"), 6.5, "agents[0].copies"),
         (("sim", "stride"), 10.9, "sim.stride"),
+        # a 2x2 matrix, 6 followers, and the edge 1 -> 2 would load as the same numbers truncated
+        (("agents", 0, "A", "shape"), [2.5, 2.9], "agents[0].A.shape"),
+        (("graph", "followers"), 6.7, "graph.followers"),
+        (("graph", "edges", 1, 0), 1.5, "graph.edges: edges[1]"),
+        (("graph", "edges", 1, 1), 2.9, "graph.edges: edges[1]"),
     ])
     def test_bad_value_is_schema_error(self, example1_doc, tmp_path, capsys, keys, value, field):
         node = example1_doc
