@@ -190,13 +190,14 @@ def _parse_vector(node, length: int | None, path: str, issues: list) -> np.ndarr
     return v
 
 
-def _gain_entry(node, n_followers: int, path: str, issues: list):
-    """A gain may be one shared matrix or a list of one matrix per follower."""
+def _gain_entry(node, n_followers: int | None, path: str, issues: list):
+    """A gain may be one shared matrix or a list of one matrix per follower (of any length if
+    the follower count is None)."""
     if node is None:
         return None
     if not isinstance(node, list):
         return _parse_matrix(node, path, issues)
-    if len(node) != n_followers:
+    if n_followers is not None and len(node) != n_followers:
         issues.append(f"{path}: expected one matrix per follower ({n_followers}), got {len(node)}")
         return None
     return [_parse_matrix(item, f"{path}[{i}]", issues) for i, item in enumerate(node)]
@@ -236,7 +237,8 @@ def scenario_from_dict(doc: dict, name_fallback: str = "scenario") -> Scenario:
             network = None if n is None else network_from_edges(n, g["edges"])
         except (ValueError, TypeError, OverflowError) as exc:
             issues.append(f"graph.edges: {exc}")
-    n_followers = network.n_followers if network is not None else 0
+    # None when the graph did not load: then nothing counted per follower is checked against it
+    n_followers = network.n_followers if network is not None else None
 
     exo = None
     ex = doc.get("exosystem")
@@ -264,17 +266,19 @@ def scenario_from_dict(doc: dict, name_fallback: str = "scenario") -> Scenario:
             continue
         _known(entry, ("copies",) + AGENT_MATRICES, f"agents[{k}].", issues)
         copies = _number(entry.get("copies", 1), f"agents[{k}].copies", issues, int)
-        if copies is not None and not 1 <= copies <= max(1, n_followers):  # never more agents than followers
-            issues.append(f"agents[{k}].copies: expected 1 to {max(1, n_followers)}, got {copies}")
+        top = max(1, (copies or 1) if n_followers is None else n_followers)  # no more agents than followers
+        if copies is not None and not 1 <= copies <= top:
+            issues.append(f"agents[{k}].copies: expected 1 to {top}, got {copies}")
             copies = None
         mats = {f: _parse_matrix(entry.get(f), f"agents[{k}].{f}", issues) for f in AGENT_MATRICES}
         if copies is None or any(M is None for M in mats.values()):
             continue
         try:
-            agents.extend(AgentModel(**{f: M.copy() for f, M in mats.items()}) for _ in range(copies))
+            agents.extend(AgentModel(**{f: M.copy() for f, M in mats.items()})
+                          for _ in range(1 if n_followers is None else copies))
         except ValueError as exc:
             issues.append(f"agents[{k}]: {exc}")
-    if network is not None and agents and len(agents) != n_followers:
+    if n_followers is not None and agents and len(agents) != n_followers:
         issues.append(f"agents: {len(agents)} agent models for {n_followers} followers")
     if exo is not None:
         for i, a in enumerate(agents):
@@ -322,7 +326,7 @@ def scenario_from_dict(doc: dict, name_fallback: str = "scenario") -> Scenario:
         init = {}
     _known(init, ("x", "v", "xhat"), "initial.", issues)
     x_init = v_list = xhat_init = None
-    if agents and exo is not None:
+    if n_followers is not None and agents and exo is not None:
         dims_x = [a.n for a in agents]
         x_init = _broadcast_init(init.get("x"), len(agents), dims_x, "initial.x", issues)
         v_rows = _broadcast_init(init.get("v"), len(agents), [exo.q] * len(agents), "initial.v", issues)

@@ -62,16 +62,25 @@ holds at most one interval's states: it escape-tests them at once, records
 the sample at the row's end and sums `Trajectory.stats` from the rows it
 applied.  Only the sampled (t, y) are kept, as `Trajectory.y`.
 
-Dense up to the cap, CSR above it.  DENSE_MAX_DIM decides both the form of
-the operator and the maps: up to it `M01` is dense, with Q, the series and
-R^m; above it `M01` (so M0 and M1) and `step_map`'s R are `scipy.sparse` CSR
-and every full step is walked, with four stages before the horizon and
-y <- R y after it.  The followers couple only through the observer's
-H (x) I_q, and every agent block is block-diagonal, so `M01` is about 1%
-nonzero (1630 of 168 200 entries at generated N = 48 under the local
-observer), and a CSR stage costs a few microseconds where the dense one
-multiplies every zero.  Q, the series and R^m stay dense-only: built on a
-CSR loop they fill in (R^10 is 9.6% nonzero at N = 48), the dense
+One assembly, dense up to the cap and CSR above it.  `ClosedLoopModel`
+keeps the loop as its inputs only: the per-agent plants, regulator solutions
+and gains, and the follower block H of the Laplacian.  `_Operator` is the one
+place that assembles it.  Every array is a list of (row, col, block) blocks,
+products of one agent's matrices (B_i K_i, -(B_i K_i) X_i, A_i - L_i Cm_i,
+...) and the blocks c H_ij I_q of c H (x) I_q, which `_Operator._place` sums
+at their offsets; E0, E1 and the relay's D K are the placed D times U0, U1
+and K.  DENSE_MAX_DIM alone decides the form of every array.  Up to it they
+are dense, with Q, the series, R^m and the relay step.  Above it every array,
+and `step_map`'s R, is `scipy.sparse` CSR, no dense dim x dim array is
+formed, and every full step is walked, with four stages before the horizon
+and y <- R y after it.  The followers couple only through H (x) I_q, and every
+agent block is block-diagonal, so `M01` is about 1% nonzero (1630 of 168 200
+entries at generated N = 48 under the local observer), and a CSR stage costs
+a few microseconds where the dense one multiplies every zero.  A fresh
+`certify` of generated N = 1000 (dim 6002) peaks at 207-210 MB RSS in
+3.5-4.4 s; dense model blocks and a dense `M01` took it to 1667-1669 MB and
+7.9-10.5 s.  Q, the series, R^m and the relay step stay dense-only: built on
+a CSR loop they fill in (R^10 is 9.6% nonzero at N = 48), the dense
 (5 dim, dim) Q costs memory: runs measured slower at N = 96 and 192 (150
 against 117 ms, 639 against 307 ms), and the peak RSS of certifying N = 8,
 24 and 48 in one process rose from 74 to 86 MB (2 vCPUs, one BLAS thread).
@@ -85,7 +94,6 @@ import warnings
 from dataclasses import dataclass, field
 
 import numpy as np
-import scipy.linalg
 
 from .graph import Network, partition_laplacian
 from .plant import Exosystem
@@ -308,10 +316,9 @@ class Trajectory:
 
 
 class ClosedLoopModel:
-    """Lumped block-matrix form of one scenario's closed loop.
-
-    Assembles the stacked plant/gain matrices once; the error-coordinate
-    operator of every mode is built from them.
+    """One scenario's closed loop as its inputs: the per-agent plants, regulator solutions and gains, and
+    the follower block H of the Laplacian, through which alone the followers couple.  `_Operator`
+    assembles every mode's arrays from them.
     """
 
     def __init__(self, network: Network, agents: list, exo: Exosystem,
@@ -327,21 +334,10 @@ class ClosedLoopModel:
         self.gains, self.regs, self.schedule = gains, regs, schedule
         self.N, self.q, self.p_i, self.nx = N, q, [a.p for a in agents], sum(a.n for a in agents)
         self.H = partition_laplacian(network).H
-        self.Hq = np.kron(self.H, np.eye(q))
-
-        bd = scipy.linalg.block_diag
-        self.A_blk, self.B_blk, self.C_blk, self.D_blk, self.Cm_blk, self.E_blk, self.Fm_blk = (
-            bd(*[getattr(a, k) for a in agents]) for k in ("A", "B", "C", "D", "Cm", "E", "Fm"))
-        self.X_blk = bd(*[r.X for r in regs])
-        self.X_stack = np.vstack([r.X for r in regs])    # acts on v0; E_blk acts on stacked per-agent v
-        self.Kbar_blk, self.Ktil_blk, self.K_blk = bd(*gains.Kbar), bd(*gains.Ktil), bd(*gains.K)
-        self.S0_blk = np.kron(np.eye(N), exo.S0)
-        has_L = gains.L is not None and gains.Ltil is not None
-        self.L_blk, self.Ltil_blk = (bd(*gains.L), bd(*gains.Ltil)) if has_L else (None, None)
 
 
 def compile_model(scenario) -> ClosedLoopModel:
-    """Solve the regulator equations, materialize gains, and assemble the blocks."""
+    """Solve the regulator equations and materialize the gains of one scenario's loop."""
     from .plant import solve_regulator
     from .synthesis import build_gain_set
 
@@ -361,28 +357,24 @@ def _rk4(h: float, f, y, g):
     return y + h / 6 * k1 + h / 3 * k2 + h / 3 * k3 + h / 6 * k4
 
 
-def _place(out: np.ndarray, blocks: list) -> np.ndarray:
-    """`out` with each (rows, cols, block) written in order."""
-    for rows, cols, blk in blocks:
-        out[rows, cols] = blk
-    return out
-
-
 class _Operator:
     """One mode's closed loop in error coordinates, y' = M0 y + mu M1 y + G rho(W y).
 
     `M1` is None for the baselines and `W`/`G` are None except for the
     fixed-time baseline.  The row maps `chi`, `track` and `innov` give the
-    consensus disagreement -Hq v_tilde, the tracking error xhat - X v (x
-    under state feedback) and the innovation; the control deviation is
-    u_tilde = U0 y + mu U1 y, plus K r(track) with r = sign + sig(., c4)
-    under the fixed-time relay, and the regulated output is e = C x_bar +
-    D u_tilde.
+    consensus disagreement -Hq v_tilde (Hq = H (x) I_q), the tracking error
+    xhat - X v (x under state feedback) and the innovation; the control
+    deviation is u_tilde = U0 y + mu U1 y, plus K r(track) with r = sign +
+    sig(., c4) under the fixed-time relay, and the regulated output is e =
+    C x_bar + D u_tilde.  This is the only assembly of the loop: every array
+    is a list of (row, col, block) blocks, products of one agent's matrices
+    (B_i K_i, -(B_i K_i) X_i, A_i - L_i Cm_i, ...) and the blocks c H_ij I_q
+    of Hq, summed at their offsets by `_place`.
     """
 
     def __init__(self, model: ClosedLoopModel, mode: str, constants: BaselineConstants):
         observer = mode != "state_fb"
-        if observer and model.L_blk is None:
+        if observer and model.gains.L is None:
             raise ValueError(f"{mode} uses the local observer; synth L/Ltil first")
         worst = max(ktil_mismatch(model.gains, model.regs))
         if worst > KTIL_CONSISTENCY_TOL:
@@ -391,71 +383,80 @@ class _Operator:
                 f"(> {KTIL_CONSISTENCY_TOL:g}); the error-coordinate loop would not be the plant's")
         self.model, self.schedule = model, model.schedule
         self.guarded = mode in PTCOR_MODES
-        m, g = model, model.gains
-        N, q, nx = m.N, m.q, m.nx
-        dim = q + N * q + nx + (nx if observer else 0)
-        v0, vt, xb = slice(0, q), slice(q, q + N * q), slice(q + N * q, q + N * q + nx)
-        xt = slice(q + N * q + nx, dim) if observer else None
-        self.s_vt, self.s_xb, self.s_xt = vt, xb, xt
-        row = slice(None)
+        m, g, S0 = model, model.gains, model.exo.S0
+        q, nx, nc = m.q, m.nx, m.N * m.q
+        vt, xb, xt = q, q + nc, q + nc + nx  # the first rows of v_tilde, x_bar and x_tilde in y
+        dim = xt + (nx if observer else 0)
+        self.dim, self.sparse = dim, dim > DENSE_MAX_DIM  # the form of every array of the operator
+        self.s_vt, self.s_xb, self.s_xt = slice(vt, xb), slice(xb, xt), slice(xt, dim) if observer else None
+        # agent i's first row of x (and of x_tilde), of u, of e and of the innovation; then their sums
+        first = np.cumsum([[0, 0, 0, 0]] + [[a.n, a.m, a.p, a.pm] for a in m.agents], axis=0).tolist()
+        mt, pt, pm = first[-1][1:]
 
-        BK, BKbar = m.B_blk @ m.K_blk, m.B_blk @ m.Kbar_blk
-        M0 = [(v0, v0, m.exo.S0), (vt, vt, m.S0_blk),
-              (xb, xb, m.A_blk + BKbar), (xb, vt, m.B_blk @ m.Ktil_blk)]
-        M1 = [(vt, vt, -g.psi * m.Hq), (xb, xb, BK), (xb, vt, -BK @ m.X_blk)]
-        U0 = [(row, xb, m.Kbar_blk), (row, vt, m.Ktil_blk)]
-        U1 = [(row, xb, m.K_blk), (row, vt, -m.K_blk @ m.X_blk)]
-        track = [(row, xb, np.eye(nx)), (row, vt, -m.X_blk)]
-        if observer:
-            M0 += [(xt, xt, m.A_blk - m.L_blk @ m.Cm_blk),
-                   (xt, vt, m.E_blk - m.L_blk @ m.Fm_blk), (xb, xt, BKbar)]
-            M1 += [(xt, xt, -(m.Ltil_blk @ m.Cm_blk)),
-                   (xt, vt, -m.Ltil_blk @ m.Fm_blk), (xb, xt, BK)]
-            U0.append((row, xt, m.Kbar_blk))
-            U1.append((row, xt, m.K_blk))
-            track.append((row, xt, np.eye(nx)))
-        if mode == "baseline_asymptotic":
-            M0.append((vt, vt, m.S0_blk - g.psi * m.Hq))
-        elif mode == "baseline_fixed_time":
-            M0.append((vt, vt, m.S0_blk - constants.c1 * m.Hq))
-        # M0 and M1 are the row blocks of one (2 dim, dim) array, so a stage is one product
-        M01 = np.zeros((2 * dim if self.guarded else dim, dim))
-        _place(M01[:dim], M0)
-        if self.guarded:
-            _place(M01[dim:], M1)
-        if dim > DENSE_MAX_DIM:  # about 1% nonzero above the cap: the agent blocks and H (x) I_q
-            import scipy.sparse
-            M01 = scipy.sparse.csr_array(M01)
-        self.dim, self.M01, self.M0 = dim, M01, M01[:dim]
-        self.M1 = M01[dim:] if self.guarded else None
+        # W stacks chi, track and innov; CDK holds each agent's C, D, and K as the relay's gain on track
+        M0, M1, U0, U1, W, G, CDK = [(0, 0, S0)], [], [], [], [], [], []
+        for i, (a, reg) in enumerate(zip(m.agents, m.regs)):
+            (xo, uo, eo, io), X, K, Ktil, Kbar = first[i], reg.X, g.K[i], g.Ktil[i], g.Kbar[i]
+            v, x, xh, BK, BKbar = vt + q * i, xb + xo, xt + xo, a.B @ K, a.B @ Kbar
+            xs = [x, xh][:1 + observer]  # the columns of the state that the controller reads
+            M0 += [(v, v, S0), (x, x, a.A), (x, v, a.B @ Ktil)] + [(x, c, BKbar) for c in xs]
+            M1 += [(x, v, -BK @ X)] + [(x, c, BK) for c in xs]
+            U0 += [(uo, v, Ktil)] + [(uo, c, Kbar) for c in xs]
+            U1 += [(uo, v, -K @ X)] + [(uo, c, K) for c in xs]
+            W += [(nc + xo, v, -X)] + [(nc + xo, c, np.eye(a.n)) for c in xs]
+            CDK.append(((eo, x, a.C), (eo, uo, a.D), (uo, xo, K)))
+            if observer:
+                inn = [(xh, a.Cm), (v, a.Fm)]  # the innovation is -(Cm x_tilde + Fm v_tilde)
+                M0 += [(xh, xh, a.A), (xh, v, a.E)] + [(xh, c, -g.L[i] @ b) for c, b in inn]
+                M1 += [(xh, c, -g.Ltil[i] @ b) for c, b in inn]
+                W += [(nc + nx + io, c, -b) for c, b in inn]
+                G += [(v, q * i, np.eye(q)), (x, nc + xo, BK), (xh, nc + nx + io, g.Ltil[i])]
 
-        mt, pm = len(m.K_blk), len(m.Cm_blk)
-        self.U0 = _place(np.zeros((mt, dim)), U0)
-        self.U1 = _place(np.zeros((mt, dim)), U1) if self.guarded else None
-        self.E0 = _place(np.zeros((len(m.C_blk), dim)), [(row, xb, m.C_blk)]) + m.D_blk @ self.U0
-        self.E1 = None if self.U1 is None else m.D_blk @ self.U1
-        self.chi = _place(np.zeros((N * q, dim)), [(row, vt, -m.Hq)])
-        self.track = _place(np.zeros((nx, dim)), track)
-        self.innov = _place(np.zeros((pm, dim)), [(row, xt, -m.Cm_blk), (row, vt, -m.Fm_blk)]) \
-            if observer else None
+        def hq(r, coef):  # coef Hq from row r and column vt, as its blocks coef H_ij I_q
+            return [(r + q * i, vt + q * j, coef * m.H[i, j] * np.eye(q)) for i, j in zip(*np.nonzero(m.H))]
+        # the consensus gain on v_tilde: psi mu in the prescribed-time modes, psi or c1 in the baselines
+        (M1 if self.guarded else M0).extend(hq(vt, -(constants.c1 if mode == "baseline_fixed_time" else g.psi)))
+        W += hq(0, -1.0)
+
+        def stacked(lo, hi, rows):  # [lo; hi] with hi from row `rows` on, or lo alone for the baselines
+            hi = [(rows + r, c, b) for r, c, b in hi if self.guarded]
+            return self._place((rows + rows * self.guarded, dim), lo + hi)
+        # M0 and M1 are the row blocks of one array, so a stage is one product
+        self.M01, U = stacked(M0, M1, dim), stacked(U0, U1, mt)
+        self.M0, self.M1 = self.M01[:dim], self.M01[dim:] if self.guarded else None
+        self.U0, self.U1 = U[:mt], U[mt:] if self.guarded else None
+        C, D, Kr = (self._place(shape, bl) for shape, bl in zip([(pt, dim), (pt, mt), (mt, nx)], zip(*CDK)))
+        self.E0, self.E1 = C + D @ self.U0, None if self.U1 is None else D @ self.U1
+        W = self._place((nc + nx + (pm if observer else 0), dim), W)
+        self.chi, self.track, self.innov = W[:nc], W[nc:nc + nx], W[nc + nx:] if observer else None
 
         self.W = self.G = None
         if mode == "baseline_fixed_time":
-            c, nc = constants, N * q
-            self.W = np.vstack([self.chi, self.track, self.innov])
-            self.G = _place(np.zeros((dim, nc + nx + pm)), [
-                (vt, slice(0, nc), np.eye(nc)), (xb, slice(nc, nc + nx), BK),
-                (xt, slice(nc + nx, None), m.Ltil_blk)])
-            self.a = np.r_[np.full(nc, c.c2), np.ones(nx + pm)]
-            self.b = np.r_[np.full(nc, c.c3), np.ones(nx + pm)]
-            self.c4 = c.c4
+            self.W, self.G, self.K, self.DK = W, self._place((dim, nc + nx + pm), G), Kr, D @ Kr
+            self.a = np.r_[np.full(nc, constants.c2), np.ones(nx + pm)]
+            self.b = np.r_[np.full(nc, constants.c3), np.ones(nx + pm)]
+            self.c4 = constants.c4
+
+    def _place(self, shape: tuple, blocks: list):
+        """The sum of the (row, col, block) blocks, each from its offset, in their order: a dense array up to
+        DENSE_MAX_DIM states, a canonical CSR array (sorted indices, no stored zeros) above it."""
+        r, c, b = zip(*blocks)
+        n, w = np.array([x.size for x in b]), np.array([x.shape[1] for x in b])
+        k, w = np.arange(n.sum()) - np.repeat(np.cumsum(n) - n, n), np.repeat(w, n)  # k: index in its block
+        ij, data = (np.repeat(r, n) + k // w, np.repeat(c, n) + k % w), np.concatenate([x.ravel() for x in b])
+        if not self.sparse:
+            return np.bincount(np.ravel_multi_index(ij, shape), data, shape[0] * shape[1]).reshape(shape)
+        import scipy.sparse
+        out = scipy.sparse.coo_array((data, ij), shape=shape).tocsr()
+        out.eliminate_zeros()
+        return out
 
     def initial_state(self, v0_init, v_init, x_init, xhat_init) -> np.ndarray:
         m = self.model
         v0 = np.asarray(v0_init, dtype=float)
         v = np.asarray(v_init, dtype=float).reshape(m.N, m.q)
         x = np.concatenate([np.asarray(xi, dtype=float) for xi in x_init])
-        parts = [v0, (v - v0).reshape(-1), x - m.X_stack @ v0]
+        parts = [v0, (v - v0).reshape(-1), x - np.concatenate([r.X @ v0 for r in m.regs])]
         if self.s_xt is not None:
             parts.append(np.concatenate([np.asarray(h, dtype=float) for h in xhat_init]) - x)
         return np.concatenate(parts)
@@ -475,12 +476,9 @@ class _Operator:
         return z
 
     def step_map(self, h: float):
-        """R with y <- R y one RK4 step of h on the LTI loop from the horizon on; CSR on a CSR operator."""
-        if isinstance(self.M01, np.ndarray):
-            eye = np.eye(self.dim)
-        else:  # the step on the sparse identity, every stage sparse
-            import scipy.sparse
-            eye = scipy.sparse.eye_array(self.dim, format="csr")
+        """R with y <- R y one RK4 step of h on the LTI loop from the horizon on: the step on the identity, so
+        CSR on a CSR operator, every stage sparse."""
+        eye = self._place((self.dim, self.dim), [(i, i, np.ones((1, 1))) for i in range(self.dim)])
         return _rk4(h, self.stage, eye, [mu(self.schedule, self.schedule.horizon)] * 4)
 
     def step_poly(self, h: float) -> np.ndarray:
@@ -563,8 +561,8 @@ class _Operator:
         if self.W is not None:
             track = Y @ self.track.T
             relay = np.sign(track) + sig(track, self.c4)
-            ut = ut + relay @ self.model.K_blk.T
-            e = e + relay @ (self.model.D_blk @ self.model.K_blk).T
+            ut = ut + relay @ self.K.T
+            e = e + relay @ self.DK.T
         phi = dict.fromkeys((1, 2, 3, 4))
         if self.guarded:  # the tracking error is phi2 under state feedback, phi4 with the local observer
             rows = {2: self.track} if self.s_xt is None else {3: self.innov, 4: self.track}
@@ -670,10 +668,11 @@ def _table(op: _Operator, schedule: MuSchedule, cfg: SimConfig, entries: np.ndar
     """
     t_lo, m, size, full = entries.T
     dim, dt, horizon, full = op.dim, cfg.dt, schedule.horizon, full == 1
-    k, small, one = np.r_[0, np.cumsum(m)].astype(int), dim <= DENSE_MAX_DIM, np.ones(1)
-    # an entry's path: 2 for R or the relay step, 1 for the five-term step while its gains are uncapped
-    # (to its end, the next entry's start), 0 for four stages
-    mapped = full & (dim <= RELAY_STEP_MAX_DIM if op.W is not None else (op.M1 is None) | (t_lo >= horizon))
+    k, small, one = np.r_[0, np.cumsum(m)].astype(int), not op.sparse, np.ones(1)
+    # an entry's path: 2 for R or the relay step (dense-only, as Q), 1 for the five-term step while its gains
+    # are uncapped (to its end, the next entry's start), 0 for four stages
+    mapped = full & (small and dim <= RELAY_STEP_MAX_DIM if op.W is not None
+                     else (op.M1 is None) | (t_lo >= horizon))
     paths = np.where(mapped, 2, full & op.guarded & small & (horizon - np.r_[t_lo[1:], ts[-1]] > schedule.eps))
     R = op.step_map(dt) if op.W is None and mapped.any() else None
     step = op.relay_step(dt) if op.W is not None and mapped.any() else functools.partial(_lin, R, one)

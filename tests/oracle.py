@@ -93,7 +93,7 @@ def rhs_output_fb(state: ClosedLoopState, t: float, model: ClosedLoopModel) -> C
     reconstruction, so it cancels from the innovation; u is computed first
     from the observer state and substituted, no implicit solve is needed.
     """
-    if model.L_blk is None:
+    if model.gains.L is None:
         raise ValueError("model has no output-injection gains; synth L/Ltil first")
     v0, v, x, xhat = split_state(state)
     if xhat is None:
@@ -124,7 +124,7 @@ def rhs_baseline(state: ClosedLoopState, t: float, model: ClosedLoopModel, kind:
     """
     if kind not in BASELINE_KINDS:
         raise ValueError(f"kind must be one of {BASELINE_KINDS}, got {kind!r}")
-    if model.L_blk is None:
+    if model.gains.L is None:
         raise ValueError("baselines use the local observer; synth L/Ltil first")
     c = constants or BaselineConstants()
     v0, v, x, xhat = split_state(state)

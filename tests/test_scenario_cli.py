@@ -285,6 +285,17 @@ class TestCli:
         assert rc == 2
         assert err.startswith("schema:") and f"{field}:" in err
 
+    def test_a_graph_that_fails_to_load_is_the_only_issue(self, example1_doc, tmp_path, capsys):
+        # without a follower count, the copies, the agent count and the per-follower gain lists go unchecked
+        example1_doc["graph"]["followers"] = 6.7
+        example1_doc["gains"]["Kbar"] = [example1_doc["gains"]["Kbar"]] * 6
+        path = tmp_path / "bad.yaml"
+        path.write_text(yaml.safe_dump(example1_doc), encoding="utf-8")
+        rc = main(["check", str(path)])
+        assert rc == 2
+        assert capsys.readouterr().err.splitlines() == [
+            "schema: scenario validation failed:", "  graph.followers: expected an integer, got 6.7"]
+
     @pytest.mark.parametrize("flag, value", [("--dt", "0.001"), ("--T", "3")])
     def test_override_of_a_run_that_ends_before_it_starts(self, monkeypatch, tmp_path, capsys, flag, value):
         # a scenario built in code bypasses the check at load; the override path repeats it

@@ -295,7 +295,7 @@ class TestRhsOutputFeedback:
         dx_flat = np.concatenate(d.x)
         dxh_flat = np.concatenate(d.xhat)
         expected = np.concatenate([
-            d.v0, dv_flat, dx_flat - model.X_stack @ d.v0, dxh_flat - dx_flat,
+            d.v0, dv_flat, dx_flat - np.concatenate([r.X @ d.v0 for r in model.regs]), dxh_flat - dx_flat,
         ])
         assert np.abs(dy - expected).max() <= 1e-9
 
@@ -337,11 +337,19 @@ def oracle_rhs(state, t, model, mode):
 
 
 class TestOperatorMatchesOracle:
+    """The operator against the plant-coordinate loops of tests/oracle.py, at times given as those of
+    example1_rlc (T = 2) and scaled to the loop's horizon."""
+
+    @pytest.fixture
+    def loop(self, rlc_model):
+        return rlc_model
+
     # mu(t) = 1/(2 - t): 0.59 early, 3.3 in the blow-up phase, 1e5 near the clamp
     @pytest.mark.parametrize("t", [0.3, 1.7, 2.0 - 1e-5])
     @pytest.mark.parametrize("mode", MODES)
-    def test_rhs_matches_plant_coordinates(self, rlc_model, mode, t):
-        scenario, model = rlc_model
+    def test_rhs_matches_plant_coordinates(self, loop, mode, t):
+        scenario, model = loop
+        t = scenario.mu_schedule.t0 + t / 2 * scenario.mu_schedule.T
         op = _Operator(model, mode, BaselineConstants())
         state = random_plant_state(mode != "state_fb", seed=11)
         y = error_coordinates(model, state)
@@ -352,12 +360,13 @@ class TestOperatorMatchesOracle:
         # plant coordinates difference O(mu) terms, so allow rounding relative to the largest
         assert np.abs(op.rhs(t, y) - expected).max() <= 1e-10 * np.abs(expected).max()
 
-    def test_fixed_time_outputs_match_plant_coordinates(self, rlc_model):
+    def test_fixed_time_outputs_match_plant_coordinates(self, loop):
         # the relay enters e and u_tilde through u; recompute both per agent
-        scenario, model = rlc_model
-        cfg = SimConfig(mode="baseline_fixed_time", dt=1e-3, duration=2.1, stride=50)
+        scenario, model = loop
+        scale = scenario.mu_schedule.T / 2
+        cfg = SimConfig(mode="baseline_fixed_time", dt=1e-3, duration=2.1 * scale, stride=50)
         traj = integrate(scenario, cfg, model=model)
-        k = int(np.argmin(np.abs(traj.t - 0.5)))
+        k = int(np.argmin(np.abs(traj.t - 0.5 * scale)))
         st = plant_state(model, traj.y[k], observer=True)
         g, c = model.gains, cfg.baseline
         e, ut = [], []
@@ -371,6 +380,17 @@ class TestOperatorMatchesOracle:
         e = np.concatenate(e)
         assert np.abs(traj.e[k] - e).max() <= 1e-9 * np.abs(e).max()
         assert np.linalg.norm(np.concatenate(ut)) == pytest.approx(traj.u_tilde_norm[k], rel=1e-9)
+
+
+class TestHeterogeneousOperatorMatchesOracle(TestOperatorMatchesOracle):
+    """The same checks on six followers that differ (generated N = 6, T = 1): both bundled scenarios are
+    six copies of one agent, on which an agent-order slip in the per-agent assembly would not show."""
+
+    @pytest.fixture(scope="class")
+    def loop(self):
+        s = scenario_from_dict(yaml.safe_load(generate.scenario_yaml(6, 1)), name_fallback="n6")
+        assert len({a.A.tobytes() for a in s.agents}) == 6
+        return s, compile_model(s)
 
 
 class TestFeedforwardConsistency:
@@ -605,12 +625,13 @@ ORACLE_RUNS = {}
 def oracle_drive(op, y0, schedule, cfg):
     """`tests.oracle.drive`, run once per input: the `_drive` test classes below share its runs, and
     the oracle reads none of the constants they patch.  The key is the content of every input, never an
-    id(): models are rebuilt per test, and the ids of dead ones are reused.  A CSR `M01` keys by its
-    dense content, so a loop gives one key whichever form its operator holds."""
+    id(): models are rebuilt per test, and the ids of dead ones are reused.  A CSR array keys by its
+    dense content, so a loop gives one key whichever form its operator holds, except under the relay:
+    the form of `W` sets the rounding of relay arguments that vanish by construction, and so their sign."""
     arrays = [getattr(op, name, None) for name in ("M01", "W", "G", "a", "b")]
     dense = [A.toarray() if hasattr(A, "toarray") else A for A in arrays]
     key = (*(None if A is None else (A.shape, A.tobytes()) for A in dense), getattr(op, "c4", None),
-           op.schedule, schedule, astuple(cfg), y0.tobytes())
+           type(op.W), op.schedule, schedule, astuple(cfg), y0.tobytes())
     if key not in ORACLE_RUNS:
         ORACLE_RUNS[key] = drive(op, y0, schedule, cfg)
         for shared in ORACLE_RUNS[key][:2]:  # every caller gets the same arrays
@@ -713,7 +734,7 @@ class TestDriveMatchesOracle:
 class TestDriveWithoutStepPolynomials(TestDriveMatchesOracle):
     """The same checks with DENSE_MAX_DIM = 0, so every loop is above the cap: its operator holds `M01`
     as CSR, every full pre-horizon step takes the four stages on it, every past-horizon step is y <- R y
-    with a CSR `R`, and the fixed-time relay step multiplies its CSR `M0` into dense forms."""
+    with a CSR `R`, and every fixed-time step takes the four stages on CSR `M01`, `W` and `G`."""
 
     @pytest.fixture(autouse=True)
     def no_step_polynomials(self, monkeypatch):
@@ -732,7 +753,10 @@ class TestSparseOperator:
         monkeypatch.setattr(ptcor.sim, "DENSE_MAX_DIM", op.dim)
         dense = _Operator(model, cfg.mode, cfg.baseline)
         assert op.dim == 290 > DENSE_MAX_DIM and isinstance(dense.M01, np.ndarray)
-        assert all(type(M).__name__ == "csr_array" for M in (op.M01, op.M0, op.M1, op.step_map(cfg.dt)))
+        # every array of the operator, the row maps too, is CSR above the cap
+        arrays = [op.M01, op.M0, op.M1, op.step_map(cfg.dt), op.U0, op.U1, op.E0, op.E1, op.chi, op.track,
+                  op.innov]
+        assert all(type(M).__name__ == "csr_array" for M in arrays)
 
         def close(got, expected):
             return np.abs(got - expected).max() <= 1e-15 * np.abs(expected).max()
@@ -740,6 +764,20 @@ class TestSparseOperator:
         assert all(close(op.stage(g, y), dense.stage(g, y)) for g in (0.0, 1.0, 1e6))
         assert all(close(op.rhs(t, y), dense.rhs(t, y)) for t in (0.0, 0.5 * horizon, horizon + 1.0))
         assert close(op.step_map(cfg.dt).toarray(), dense.step_map(cfg.dt))
+        # the recorded columns, pre- and post-horizon, to 1e-13 of each column's scale
+        t, Y = np.linspace(0.0, 2 * horizon, 9), np.random.default_rng(6).standard_normal((9, op.dim))
+        got, want = op.signals(t, Y), dense.signals(t, Y)
+        columns = [(got[k], want[k]) for k in want if k != "phi"]
+        columns += [(got["phi"][k], want["phi"][k]) for k in (1, 3, 4)]  # phi2 is absent with the observer
+        assert all((np.abs(g - w) <= 1e-13 * np.abs(w).max(axis=0)).all() for g, w in columns)
+
+    def test_the_model_holds_only_its_inputs(self):
+        # _Operator is the only assembly of the loop: the model keeps no array but the Laplacian block H
+        s = scenario_from_dict(yaml.safe_load(generate.scenario_yaml(48, seed=1)), name_fallback="n48")
+        model = compile_model(s)
+        assert [k for k, v in vars(model).items() if isinstance(v, np.ndarray)] == ["H"]
+        op = _Operator(model, "baseline_fixed_time", s.sim_config.baseline)
+        assert all(type(M).__name__ == "csr_array" for M in (op.W, op.G, op.K, op.DK))
 
 
 class TestDriveWithoutIntervalSeries(TestDriveMatchesOracle):
