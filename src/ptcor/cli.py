@@ -113,9 +113,9 @@ def cmd_check(args) -> int:
 
 def cmd_synth(args) -> int:
     scenario = _load(args)
+    out = _out_dir(args)
     model = compile_model(scenario)
     g = model.gains
-    out = _out_dir(args)
     for i in range(model.N):
         theta = "n/a" if g.theta[i] is None else f"{g.theta[i]:.6g}"
         line = f"agent {i + 1}: theta = {theta}"
@@ -134,9 +134,8 @@ def cmd_synth(args) -> int:
     return EXIT_OK
 
 
-def _run_and_write(scenario: Scenario, args, model=None):
+def _run_and_write(scenario: Scenario, out: Path, model=None):
     traj = integrate(scenario, model=model)
-    out = _out_dir(args)
     csv_path = out / f"{scenario.name}_{scenario.sim_config.mode}_trajectory.csv"
     traj.to_csv(csv_path)
     return traj, csv_path
@@ -144,7 +143,7 @@ def _run_and_write(scenario: Scenario, args, model=None):
 
 def cmd_simulate(args) -> int:
     scenario = _load(args)
-    traj, csv_path = _run_and_write(scenario, args)
+    traj, csv_path = _run_and_write(scenario, _out_dir(args))
     print(f"wrote {csv_path} ({len(traj.t)} samples)")
     if traj.finite_escape:
         print(f"simulation: {traj.diagnostic}", file=sys.stderr)
@@ -155,13 +154,13 @@ def cmd_simulate(args) -> int:
 def cmd_certify(args) -> int:
     scenario = _load(args)
     tols = _tols(args)
+    out = _out_dir(args)
     model = compile_model(scenario)
-    traj, csv_path = _run_and_write(scenario, args, model)
+    traj, csv_path = _run_and_write(scenario, out, model)
     rates = observer_rate(partition_laplacian(scenario.network))
     theta = model.gains.theta_min()
     envelope = EnvelopeParams.from_rates(rates, model.gains.psi, scenario.exo.S0, theta=theta)
     report = certify(traj, scenario.mu_schedule, tols, envelope)
-    out = _out_dir(args)
     mode = scenario.sim_config.mode
     rpt_path = out / f"{scenario.name}_{mode}_report.txt"
     rpt_path.write_text(report.to_text() + "\n", encoding="utf-8")
@@ -186,6 +185,7 @@ def cmd_compare(args) -> int:
     mode = scenario.sim_config.mode
     if mode not in PTCOR_MODES:
         mode = "output_fb"
+    out = _out_dir(args)
     model = compile_model(scenario)
     runs, labels = [], []
     traj = integrate(scenario, replace(scenario.sim_config, mode=mode), model=model)
@@ -201,7 +201,6 @@ def cmd_compare(args) -> int:
 
     def text(label, value, fmt, name=""):  # an infinite ||e(at)|| is a run that escaped before `at`
         return f"escaped at t = {escapes[label]:{fmt}}" if math.isinf(value) else f"{name}{value:{fmt}}"
-    out = _out_dir(args)
     path = out / f"{scenario.name}_comparison.csv"
     with open(path, "w", encoding="utf-8") as fh:
         fh.write(f"controller, ||e|| at t={at:.15g}\n")
@@ -264,7 +263,7 @@ def main(argv=None) -> int:
     args = parser.parse_args(argv)
     try:
         return args.func(args)
-    except (ScenarioError, FileNotFoundError) as exc:
+    except (ScenarioError, OSError) as exc:  # a missing scenario, a directory for one, a bad --out
         print(f"schema: {exc}", file=sys.stderr)
         return EXIT_SCHEMA
     except (SynthesisError, RegulatorError) as exc:

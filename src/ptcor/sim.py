@@ -230,6 +230,131 @@ def sig(z, c: float) -> np.ndarray:
     return np.sign(z) * np.abs(z) ** c
 
 
+def _words(strings, width: int) -> np.ndarray:
+    """Byte strings as rows of `width` little-endian uint64 words, NUL-padded."""
+    return np.array(strings, dtype=f"S{8 * width}").view("<u8").reshape(len(strings), width)
+
+
+def _g_tables():
+    """The lookup tables of `_GRows`, about 110 KB."""
+    v = np.arange(10000)
+    digits = np.stack([v // 1000, v // 100 % 10, v // 10 % 10, v % 10], axis=1)
+    quads = (48 + digits).astype(np.uint8).view(np.uint32)[:, 0]
+    length = np.where(v > 0, 4 - (v % 10 == 0) - (v % 100 == 0) - (v % 1000 == 0), 0)
+    last = np.where(v > 0, 4 * np.arange(4)[:, None] + length, 0).astype(np.int8).ravel()
+    keep = _words([b"\xff" * k for k in range(17)], 2)
+    point = _words([b"\0" * p + b"\x1e" if p else b"" for p in range(16)], 2)  # '0' ^ 0x1e == '.'
+    div = np.array([1.0] + [10.0 ** (15 - p) for p in range(1, 16)])
+    head, tail, slot = [], [], []
+    for E in range(_G_E_LO, _G_E_HI + 1):
+        pre, ex, p = b"", b"", E + 1
+        if -4 <= E < 0:
+            pre, p = b"0." + b"0" * (-E - 1), 0
+        elif not 0 <= E < 15:
+            ex, p = b"e%+03d" % E, 1
+        head += [b"\0" + pre, b"-" + pre]
+        tail.append(ex)
+        slot.append(p)
+    return quads, last, keep, point, div, _words(head, 1)[:, 0], _words(tail, 1)[:, 0], np.array(slot)
+
+
+# E runs over the decimal exponents of normal floats, moved by one either way.  _G_POW10 holds
+# 10^(14 - E), each correctly rounded (strtold), so y = |x| 10^(14 - E) in long double is off by two
+# roundings, at most eps 1e15 where it matters (y < 1e15 + 1).  _G_SLACK is four times that: above
+# 0.5 where long double is a plain double, so that there every value falls back to `%`.
+_G_E_LO, _G_E_HI = -309, 309
+_G_POW10 = np.array([f"1e{14 - E}" for E in range(_G_E_LO, _G_E_HI + 1)], dtype=np.longdouble)
+_G_SLACK = 4 * float(np.finfo(np.longdouble).eps) * 1e15
+_G_QUADS, _G_LAST, _G_KEEP, _G_POINT, _G_DIV, _G_HEAD, _G_TAIL, _G_SLOT = _g_tables()
+_G_LAST_OFF = 10000 * np.arange(4)[:, None]
+# Values formatted at once: 512 rows of up to 32 values, fewer rows of more.  A block's arrays peak
+# at about 100 bytes a value besides its buffer rows, so a cap on values, not rows, keeps a wide run
+# (1011 values a row at N = 1000) from holding 50 MB of them.
+_G_BLOCK_VALUES = 2**14
+
+
+def _round15(x: np.ndarray):
+    """(ok, e, n): the 15 significant digits n = rint(|x| 10^(14 - E)) in [1e14, 1e15) and the
+    exponent's table index e = E - _G_E_LO, where ok.
+
+    E starts as floor(log10 |x|) and moves by one where y = |x| 10^(14 - E) lands outside
+    [1e14, 1e15); n = 10^15 then carries into E.  ok is False for zero, subnormal, nan and inf, and
+    where y lies within `_G_SLACK` of a half-integer; n and e are then those of 1.
+    """
+    a = np.abs(x)
+    ok = (a >= np.finfo(float).tiny) & (a <= np.finfo(float).max)
+    a[~ok] = 1.0
+    E = np.floor(np.log10(a)).astype(np.int16)
+    with np.errstate(over="ignore", invalid="ignore"):  # 10^(14 - E) overflows a plain double
+        y = a.astype(np.longdouble)
+        y *= np.take(_G_POW10, E - _G_E_LO)
+        yf = y.astype(float)
+        fix = (yf >= 1e15).astype(np.int16) - (yf < 1e14)
+        moved = np.flatnonzero(fix)
+        E[moved] += fix[moved]
+        y[moved] = a[moved].astype(np.longdouble) * np.take(_G_POW10, E[moved] - _G_E_LO)
+        n = y.astype(np.int64)
+        y -= n
+        f = y.astype(float)
+    ok &= np.abs(f - 0.5) > _G_SLACK
+    n += f > 0.5
+    ok &= (n >= 10**14) & (n <= 10**15)  # and y was finite, for f = inf passes the test above
+    n[~ok], E[~ok] = 10**14, 0
+    carry = n == 10**15
+    n[carry] = 10**14
+    E += carry
+    return ok, E - _G_E_LO, n
+
+
+def _digit_words(n: np.ndarray, p: np.ndarray) -> np.ndarray:
+    """Each n's 15 digits, a point after the first p of them (none where p is 0), as two uint64
+    words of ASCII, with the trailing zeros and a point they end on cleared to NUL."""
+    D = n.astype(float)
+    div = np.take(_G_DIV, p)
+    R = 10 * n - 9 * (D - np.floor(D / div) * div).astype(np.int64)  # 16 slots: n's digits, a 0 at slot p
+    G = np.empty((4, len(n)), np.int16)  # R as four groups of four digits
+    for i, scale in enumerate((10**12, 10**8, 10**4)):
+        G[i] = R // scale
+        R -= G[i].astype(np.int64) * scale
+    G[3] = R
+    digits = np.take(_G_QUADS, G.T).view("<u8")
+    digits ^= np.take(_G_POINT, p, axis=0)
+    digits &= np.take(_G_KEEP, np.maximum(np.take(_G_LAST, G + _G_LAST_OFF).max(axis=0), p), axis=0)
+    return digits
+
+
+class _GRows:
+    """Rows of `'%.15g' % value` fields, each followed by its column's suffix, an array at a time.
+
+    Each value is a row of little-endian uint64 words in one buffer: the sign and the "0.000" prefix
+    of fixed notation below 1, sixteen digit slots; then the exponent of scientific notation and,
+    from byte 5 on, the column's suffix.  NUL fills every byte no character takes, and the text is
+    the buffer's bytes with the NULs deleted.  The digits are those of `_round15`; a value it does
+    not trust (zero, subnormal, nan, inf and near-ties, 0.1% of a bundled run) is formatted by `%`
+    and written over its sign, prefix and digits.
+    """
+
+    def __init__(self, suffixes, rows: int):
+        suffixes = [b"\0" * 5 + s.encode() for s in suffixes]
+        width = -(-max(map(len, suffixes)) // 8)
+        buf = np.empty((rows, len(suffixes), 3 + width), "<u8")
+        buf[:, :, 3:] = _words(suffixes, width)
+        self.buf = buf.reshape(rows * len(suffixes), 3 + width)
+        self.suffix = self.buf[:, 3].copy()
+
+    def format(self, block: np.ndarray) -> str:
+        x = block.ravel()
+        buf = self.buf[:len(x)]
+        ok, e, n = _round15(x)
+        buf[:, 0] = np.take(_G_HEAD, 2 * e + np.signbit(x))
+        buf[:, 1:3] = _digit_words(n, np.take(_G_SLOT, e))
+        buf[:, 3] = self.suffix[:len(x)] | np.take(_G_TAIL, e)
+        bad = np.flatnonzero(~ok)
+        buf[bad, :3] = _words(["%.15g" % v for v in x[bad].tolist()], 3)
+        text = buf.view(np.uint8)
+        return text[text != 0].tobytes().decode("ascii")
+
+
 @dataclass(eq=False)
 class Trajectory:
     """Sampled closed-loop states and the signals derived from them.
@@ -275,15 +400,23 @@ class Trajectory:
         return [f"e_{i}_{j}" for i, p in enumerate(self.output_dims, start=1) for j in range(1, p + 1)]
 
     def to_csv(self, path) -> None:
+        """Write a header and one row per sample, every number as `'%.15g' % x` writes it.
+
+        Fifteen significant digits, fixed notation for decimal exponents -4 to 14, trailing zeros
+        stripped, an empty field for each absent column.  `_GRows` builds the exact bytes of `%`
+        as numpy arrays, 512 rows at a time or fewer where a row holds more than 32 values, and
+        formats with `%` itself, value by value, only the values whose rounding it cannot be sure of.
+        """
         fixed = [self.t, self.mu, self.e_norm, self.v_tilde_norm, self.x_bar_norm,
                  self.x_tilde_norm, self.u_tilde_norm] + [self.phi.get(k) for k in (1, 2, 3, 4)]
         data = np.column_stack([c for c in fixed if c is not None] + [self.e])
-        # One row format, a literal empty field for each absent column, and one % per block of rows
         row = ", ".join(["" if c is None else "%.15g" for c in fixed] + ["%.15g"] * self.e.shape[1])
+        step = max(1, min(512, _G_BLOCK_VALUES // data.shape[1]))
+        rows = _GRows((row + "\n").split("%.15g")[1:], min(step, len(data)))  # the text after each value
         with open(path, "w", encoding="utf-8") as fh:
             fh.write(", ".join(CSV_FIXED_COLUMNS + self.e_columns()) + "\n")
-            for block in np.split(data, range(512, len(data), 512)):
-                fh.write((row + "\n") * len(block) % tuple(block.ravel().tolist()))
+            for lo in range(0, len(data), step):
+                fh.write(rows.format(data[lo:lo + step]))
 
     @classmethod
     def from_csv(cls, path, mode: str = "unknown") -> "Trajectory":

@@ -363,6 +363,20 @@ class TestCli:
         rc = main(["compare", "example1_rlc", "--baselines", "nope", "--out", str(tmp_path)])
         assert rc == 2
 
+    @pytest.mark.parametrize("command", ["simulate", "certify", "compare"])
+    @pytest.mark.parametrize("case", ["out_is_file", "out_under_file", "scenario_is_directory"])
+    def test_bad_path_is_a_schema_error_before_integrating(self, tmp_path, capsys, monkeypatch, command, case):
+        file = tmp_path / "file"
+        file.write_text("", encoding="utf-8")
+        scenario, out = {"out_is_file": ("example1_rlc", file), "out_under_file": ("example1_rlc", file / "sub"),
+                         "scenario_is_directory": (str(tmp_path), tmp_path / "out")}[case]
+
+        def integrate(*args, **kwargs):
+            raise AssertionError("integrated before the output directory was made")
+        monkeypatch.setattr(ptcor.cli, "integrate", integrate)
+        rc = main([command, scenario, "--dt", "1e-3", "--out", str(out)])
+        assert rc == 2 and capsys.readouterr().err.startswith("schema: [Errno")
+
 
 def key_paths(node, path=()):
     """Every key path into a loaded YAML document: the keys of its mappings and the positions in its lists."""

@@ -27,6 +27,7 @@ from ptcor.sim import (
     SimConfig,
     Trajectory,
     _drive,
+    _GRows,
     _Operator,
     _plan,
     check_step_budget,
@@ -557,6 +558,79 @@ class TestTrajectoryCsv:
         np.savetxt(ref, np.column_stack([c for c in fixed if c is not None] + [traj.e]), fmt=fmt,
                    comments="", header=", ".join(CSV_FIXED_COLUMNS + traj.e_columns()), encoding="utf-8")
         assert path.read_bytes() == ref.read_bytes()
+
+    @staticmethod
+    def savetxt_bytes(traj, path):
+        """What np.savetxt writes for `traj` with the row format of `%.15g` fields and empty absent columns."""
+        fixed = [traj.t, traj.mu, traj.e_norm, traj.v_tilde_norm, traj.x_bar_norm, traj.x_tilde_norm,
+                 traj.u_tilde_norm] + [traj.phi[k] for k in (1, 2, 3, 4)]
+        fmt = ", ".join(["" if c is None else "%.15g" for c in fixed] + ["%.15g"] * traj.e.shape[1])
+        np.savetxt(path, np.column_stack([c for c in fixed if c is not None] + [traj.e]), fmt=fmt,
+                   comments="", header=", ".join(CSV_FIXED_COLUMNS + traj.e_columns()), encoding="utf-8")
+        return path.read_bytes()
+
+    @pytest.mark.parametrize("name", ["example1_rlc", "example2_ccvsi"])
+    @pytest.mark.parametrize("mode", MODES)
+    def test_bundled_runs_match_savetxt(self, tmp_path, bundled_models, name, mode):
+        # the baselines leave every phi column empty, so five empty fields follow ||u_tilde||; dt 1e-3
+        # at stride 1 keeps the fixed-time runs short and gives several blocks of rows
+        scenario, model = bundled_models[name]
+        traj = integrate(scenario, replace(scenario.sim_config, mode=mode, dt=1e-3, stride=1), model=model)
+        assert len(traj.t) > 2 * 512
+        traj.to_csv(tmp_path / "run.csv")
+        assert (tmp_path / "run.csv").read_bytes() == self.savetxt_bytes(traj, tmp_path / "savetxt.csv")
+
+    def test_wide_rows_match_savetxt(self, tmp_path):
+        # 72 values a row come in blocks of fewer than 512 rows, the last one short
+        rng = np.random.default_rng(5)
+        cols = [rng.standard_normal(700) * 10.0 ** rng.integers(-8, 20, 700) for _ in range(71)]
+        traj = Trajectory(mode="baseline_asymptotic", t=np.arange(700) * 0.01, mu=cols[0], e=np.column_stack(cols[5:]),
+                          e_norm=cols[1], v_tilde_norm=cols[2], x_bar_norm=cols[3], x_tilde_norm=None,
+                          u_tilde_norm=cols[4], phi={k: None for k in (1, 2, 3, 4)}, output_dims=[2] * 33)
+        traj.to_csv(tmp_path / "run.csv")
+        assert (tmp_path / "run.csv").read_bytes() == self.savetxt_bytes(traj, tmp_path / "savetxt.csv")
+
+    @staticmethod
+    def percent_rows(block, suffixes):
+        row = "%.15g" + "%.15g".join(suffixes)
+        return "".join(row % tuple(r) for r in block.tolist())
+
+    # any float64 (nan, +-inf, +-0.0 and subnormals among them), values spread over every decade, the
+    # doubles nearest to 16-digit decimal ties, from the subnormals to 1e305, and the doubles just below
+    # a power of ten, whose 15 digits carry into the exponent
+    FLOATS = st.one_of(
+        st.floats(width=64),
+        st.builds(lambda m, e: m * 10.0**e, st.floats(-10.0, 10.0), st.integers(-300, 300)),
+        st.builds(lambda d, e: float(f"{d}5e{e}"), st.integers(10**14, 10**15 - 1), st.integers(-345, 290)),
+        st.builds(lambda e: math.nextafter(float(f"1e{e}"), 0.0), st.integers(-307, 308)),
+    )
+
+    @settings(max_examples=100, deadline=None)
+    @given(data=st.data(), rows=st.integers(1, 12), empties=st.lists(st.integers(0, 5), min_size=1, max_size=6))
+    def test_rows_match_percent_format(self, data, rows, empties):
+        # value c is followed by ", " and one more ", " per empty column after it; a row ends in "\n"
+        suffixes = [", " * (k + 1) for k in empties[:-1]] + [", " * empties[-1] + "\n"]
+        size = rows * len(suffixes)
+        block = np.array(data.draw(st.lists(self.FLOATS, min_size=size, max_size=size))).reshape(rows, -1)
+        assert _GRows(suffixes, 512).format(block) == self.percent_rows(block, suffixes)
+
+    PINNED = [
+        # each side of the switches between fixed and scientific notation
+        *(float(np.nextafter(p, to)) for p in (1e-4, 1e-5, 1e15, 1e16) for to in (0.0, math.inf)),
+        1e-4, 1e-5, 1e15, 1e16, 9.999999999999995e-5, 999999999999999.5, 99999999999999.95,
+        # exact ties, the smallest subnormal and normal, the largest float, three-digit exponents
+        112589990684262.5, 0.5, 5e-324, 2.2250738585072014e-308, 1.7976931348623157e308, 1e-100, -2.5e200,
+        # near-ties that the rounding of |x| 10^k puts on the wrong side of one half
+        2.278993156679995e-300, 9.422964153861585e41, 1.092928317403675e-241,
+        # fixed notation below 1, down to the fourth zero; integers past 15 digits
+        0.1, -0.012, 0.00123, 0.000999, 0.00010000000000000005, 123456789012345678.0, -1e17 + 2**4,
+    ]
+
+    @pytest.mark.parametrize("value", PINNED, ids=repr)
+    def test_pinned_values_match_percent_format(self, value):
+        block = np.array([[value, -value], [value / 3, value * 7]])
+        suffixes = [", , , , , ", "\n"]
+        assert _GRows(suffixes, 512).format(block) == self.percent_rows(block, suffixes)
 
     def test_unparsable_cell_names_the_file(self, tmp_path):
         path = tmp_path / "bad_cell.csv"
