@@ -2,8 +2,9 @@
 
 Exit codes: 0 success (and, for `certify`, settled); 2 scenario/schema or
 usage problems; 3 certification not settled; 4 synthesis or simulation
-failure.  Error messages carry a category prefix (schema:, synthesis:,
-simulation:, analysis:).
+failure, or an output file that cannot be written after the run.  Error
+messages carry a category prefix (schema:, synthesis:, simulation:,
+analysis:, output:).
 """
 
 from __future__ import annotations
@@ -61,6 +62,19 @@ def _tols(args) -> CertifyTolerances:
     except ValueError as exc:
         flags = " ".join(f"--{name.replace('_', '-')} {value:g}" for name, value in kw.items())
         raise ScenarioError([f"{flags}: {exc}"]) from exc
+
+
+class OutputError(Exception):
+    """An output file that could not be written once the command had run: `output:` and exit 4."""
+
+
+def _write(path: Path, content) -> None:
+    """Write `content`, text or a function of the path that writes it, to path.  An OSError here is the
+    run's output failing, not a bad path given: those fail in `_load` and `_out_dir`, before any run."""
+    try:
+        path.write_text(content, encoding="utf-8") if isinstance(content, str) else content(path)
+    except OSError as exc:
+        raise OutputError(f"{path}: {exc.strerror or exc}") from exc
 
 
 def _out_dir(args) -> Path:
@@ -129,7 +143,7 @@ def cmd_synth(args) -> int:
         Ltil=None if g.Ltil is None else list(g.Ltil),
     )
     path = out / f"{scenario.name}_synth.yaml"
-    write_scenario(scenario, path)
+    _write(path, lambda p: write_scenario(scenario, p))
     print(f"wrote {path}")
     return EXIT_OK
 
@@ -137,7 +151,7 @@ def cmd_synth(args) -> int:
 def _run_and_write(scenario: Scenario, out: Path, model=None):
     traj = integrate(scenario, model=model)
     csv_path = out / f"{scenario.name}_{scenario.sim_config.mode}_trajectory.csv"
-    traj.to_csv(csv_path)
+    _write(csv_path, traj.to_csv)
     return traj, csv_path
 
 
@@ -163,11 +177,11 @@ def cmd_certify(args) -> int:
     report = certify(traj, scenario.mu_schedule, tols, envelope)
     mode = scenario.sim_config.mode
     rpt_path = out / f"{scenario.name}_{mode}_report.txt"
-    rpt_path.write_text(report.to_text() + "\n", encoding="utf-8")
+    _write(rpt_path, report.to_text() + "\n")
     if mode in PTCOR_MODES:
         conditions = verify_gains(mode, model.gains, rates, scenario.agents, model.regs)
         cond_path = out / f"{scenario.name}_{mode}_conditions.txt"
-        cond_path.write_text(conditions.to_text() + "\n", encoding="utf-8")
+        _write(cond_path, conditions.to_text() + "\n")
         print(f"wrote {cond_path}")
     print(f"wrote {csv_path}")
     print(f"wrote {rpt_path}")
@@ -202,16 +216,13 @@ def cmd_compare(args) -> int:
     def text(label, value, fmt, name=""):  # an infinite ||e(at)|| is a run that escaped before `at`
         return f"escaped at t = {escapes[label]:{fmt}}" if math.isinf(value) else f"{name}{value:{fmt}}"
     path = out / f"{scenario.name}_comparison.csv"
-    with open(path, "w", encoding="utf-8") as fh:
-        fh.write(f"controller, ||e|| at t={at:.15g}\n")
-        for label, value in table:
-            fh.write(f"{label}, {text(label, value, '.15g')}\n")
+    _write(path, "".join([f"controller, ||e|| at t={at:.15g}\n"] +
+                         [f"{label}, {text(label, value, '.15g')}\n" for label, value in table]))
     print(f"wrote {path}")
     for label, value in table:
         print(f"  {label:>16}: {text(label, value, '.6g', f'||e({at:g})|| = ')}")
     for run, label in zip(runs, labels):
-        p = out / f"{scenario.name}_{label}_trajectory.csv"
-        run.to_csv(p)
+        _write(out / f"{scenario.name}_{label}_trajectory.csv", run.to_csv)
     return EXIT_OK
 
 
@@ -266,6 +277,9 @@ def main(argv=None) -> int:
     except (ScenarioError, OSError) as exc:  # a missing scenario, a directory for one, a bad --out
         print(f"schema: {exc}", file=sys.stderr)
         return EXIT_SCHEMA
+    except OutputError as exc:
+        print(f"output: {exc}", file=sys.stderr)
+        return EXIT_NUMERIC
     except (SynthesisError, RegulatorError) as exc:
         print(f"synthesis: {exc}", file=sys.stderr)
         return EXIT_NUMERIC

@@ -45,12 +45,18 @@ derivative is `_Operator.stage(gain, y)` in every mode, at the gains
 mu(t + tau h), tau = 0, 1/2, 1/2, 1.
 
 A table of maps, then a walk.  `_table` turns the plan and the operator into
-rows before any state exists, and `_drive` only applies them; every linear
-map is y <- w (P y).reshape(len(w), dim).  A
-product row is a sample interval of m full steps as one map, R^m or a power
-series in u = mu(t_lo) dt (`interval_series`), with a bound on its partial
-products; the walk applies it while that bound rules out an escape, and
-walks the interval otherwise.  Walked steps come in blocks of at most
+rows before any state exists, and `_drive` only applies them.  A product row
+covers sample intervals of full steps with a bound on its partial products:
+the walk applies it as far as that bound rules out an escape, sends back how
+many intervals that was, and the intervals after them are walked.  Where the
+loop is LTI (past the horizon, and in the asymptotic baseline) a row is a
+whole run of consecutive intervals of n steps, taken in blocks of B (`_run`):
+the block starts are the chain y <- R^(Bn) y, and the samples of every block
+one product of the starts with [R^n; R^2n .. R^(Bn)]; a block that the bound
+does not allow is walked, and the rest of the run offered again.  Before the
+horizon a product row is one interval in a power series in u = mu(t_lo) dt
+(`interval_series`).  It and every other linear map of the walk is
+y <- w (P y).reshape(len(w), dim).  Walked steps come in blocks of at most
 BLOCK_STEPS steps of one stretch, each summed once and with one step
 function: past the horizon, and in the asymptotic baseline, R with w = [1]; up to
 DENSE_MAX_DIM states a full pre-horizon step with uncapped gains is five
@@ -70,8 +76,8 @@ products of one agent's matrices (B_i K_i, -(B_i K_i) X_i, A_i - L_i Cm_i,
 ...) and the blocks c H_ij I_q of c H (x) I_q, which `_Operator._place` sums
 at their offsets; E0, E1 and the relay's D K are the placed D times U0, U1
 and K.  DENSE_MAX_DIM alone decides the form of every array.  Up to it they
-are dense, with Q, the series, R^m and the relay step.  Above it every array,
-and `step_map`'s R, is `scipy.sparse` CSR, no dense dim x dim array is
+are dense, with Q, the series, the run blocks and the relay step.  Above it
+every array, and `step_map`'s R, is `scipy.sparse` CSR, no dense dim x dim array is
 formed, and every full step is walked, with four stages before the horizon
 and y <- R y after it.  The followers couple only through H (x) I_q, and every
 agent block is block-diagonal, so `M01` is about 1% nonzero (1630 of 168 200
@@ -79,8 +85,8 @@ entries at generated N = 48 under the local observer), and a CSR stage costs
 a few microseconds where the dense one multiplies every zero.  A fresh
 `certify` of generated N = 1000 (dim 6002) peaks at 207-210 MB RSS in
 3.5-4.4 s; dense model blocks and a dense `M01` took it to 1667-1669 MB and
-7.9-10.5 s.  Q, the series, R^m and the relay step stay dense-only: built on
-a CSR loop they fill in (R^10 is 9.6% nonzero at N = 48), the dense
+7.9-10.5 s.  Q, the series, the run blocks and the relay step stay
+dense-only: built on a CSR loop they fill in (R^10 is 9.6% nonzero at N = 48), the dense
 (5 dim, dim) Q costs memory: runs measured slower at N = 96 and 192 (150
 against 117 ms, 639 against 307 ms), and the peak RSS of certifying N = 8,
 24 and 48 in one process rose from 74 to 86 MB (2 vCPUs, one BLAS thread).
@@ -110,9 +116,13 @@ MIN_DT_ULPS = 10**6  # float spacings of |t| in dt: a step moves the clock by dt
 # 49-52/54-55 at 170, 63-65/53-58 at 194 (kept dense: its runs stay bit-identical), 108/63 at 230, 248/68 at 290
 DENSE_MAX_DIM = 200
 RELAY_STEP_MAX_DIM = 88  # relay_step vs four stages at h = 1e-3: 58-79/100 us at dim 86, 79-108/69-98 at 92
-SERIES_DEGREE, SERIES_TAIL = 20, 1e-16  # the interval series is cut after u^20, its tail below 1e-16 ||y||
+SERIES_DEGREE, SERIES_TAIL = 20, 1e-16  # the interval series is cut by u^20, its tail below 1e-16 ||y||
 SERIES_MIN_INTERVALS = 6  # x dim: its build (8-29 ms at dim 26-52) is repaid after 3.6-5.1 dim intervals
 BLOCK_STEPS = 4096  # steps summed at once by `_plan`, and in a walked block of `_table`: bounds `_drive`'s buffer
+# a run's [R^n .. R^Bn] holds at most this many values (512 KB); B is about the square root of the run's
+# length, so that the rows it saves repay its B - 1 products of dim^3 (generated N = 8: 99 intervals, B = 10,
+# `_drive` 11.4 ms as with a row per interval, 2 vCPUs, one BLAS thread)
+RUN_BLOCK_VALUES = 2**16
 
 MODES = ("state_fb", "output_fb", "baseline_asymptotic", "baseline_fixed_time")
 PTCOR_MODES = ("state_fb", "output_fb")
@@ -781,23 +791,50 @@ def _plan(schedule: MuSchedule, cfg: SimConfig, guarded: bool):
 
 
 def _lin(P: np.ndarray, w: np.ndarray, y: np.ndarray) -> np.ndarray:
-    """Every linear map of the walk: y <- w (P y).reshape(len(w), dim)."""
+    """Every linear map of the walk but a run's: y <- w (P y).reshape(len(w), dim)."""
     return w.dot(P.dot(y).reshape(len(w), -1))
+
+
+def _run(S: np.ndarray, bound: float, y: np.ndarray, out: np.ndarray) -> int:
+    """Write the samples of the first of the len(out) intervals of an LTI run from y into out, a block of
+    B intervals at a time while the bound allows, and return how many intervals it wrote.  S stacks P,
+    P^2 .. P^B, P one interval, and ||y|| bound bounds every partial product of a block from y.  The block
+    starts are the chain y <- P^B y; a block is taken while its start passes the bound, and the taken
+    blocks are one product with S, their last rows the chain's, so that each block starts from the
+    stored sample.  A remainder of r < B intervals is one product with the first r blocks of rows of S."""
+    dim = S.shape[1]
+    B, half = len(S) // dim, 0.5 * ESCAPE_NORM
+    blocks, r = divmod(len(out), B)
+    starts, k = np.empty((blocks + 1, dim)), 0
+    starts[0] = y
+    while k < blocks and np.abs(starts[k]).max() * bound <= half:  # NaN fails the test too
+        np.dot(S[-dim:], starts[k], out=starts[k + 1])
+        k += 1
+    if k:
+        np.matmul(starts[:k], S.T, out=out[:k * B].reshape(k, B * dim))
+        out[B - 1:k * B:B] = starts[1:k + 1]
+    if k < blocks or not r or not np.abs(starts[k]).max() * bound <= half:
+        return k * B
+    np.dot(S[:r * dim], starts[k], out=out[k * B:].reshape(-1))
+    return k * B + r
 
 
 def _table(op: _Operator, schedule: MuSchedule, cfg: SimConfig, entries: np.ndarray, ks: np.ndarray,
            ts: np.ndarray):
     """Yield the rows that carry a run through the plan `entries`, whose samples take ks steps at times ts.
 
-    A product row (interval key, step key, n, P, w, bound) is a sample interval of n > 1 full steps as one
-    map y <- `_lin(P, w, y)`: R^n, or `interval_series` cut to the terms its tail needs; ||y|| bound bounds
-    every partial product.  The walk sends back whether it applied the row; if it did not, the interval's
-    steps follow as walked rows.  Walked steps are taken in blocks of at most BLOCK_STEPS steps of one stretch:
-    a block is summed once, and its step function, R or the relay step, the five-term step with its
-    weights u^0 .. u^4 / d(u), or four stages at their gains, is made once from those sums.  A walked row
-    (step key, o, c, tk, advance, j) is the c steps of one block that lie in one sample interval, from
-    step o of the block: tk holds the block's sums, advance(o + i, y) takes step i, and the samples
-    before j have been reached at the row's end.  The last row is None.
+    A product row (interval key, step key, n, P, w, bound, c) is up to c sample intervals of n > 1 full
+    steps each.  A series interval (c = 1) is y <- `_lin(P, w, y)` with `interval_series` cut to the terms
+    its tail needs, and ||y|| bound bounds every partial product.  A run of c consecutive LTI intervals
+    (w None) is `_run(P, bound, y, ...)` with P = [R^n; R^2n .. R^Bn], B about the square root of the
+    longest run of n-step intervals.  The walk sends back how many intervals it applied; the B intervals
+    after those (one for a series interval) follow as walked rows, and the rest of the run is offered again.
+    Walked steps are taken in blocks of at most BLOCK_STEPS steps of one stretch: a block is summed once,
+    and its step function, R or the relay step, the five-term step with its weights u^0 .. u^4 / d(u), or
+    four stages at their gains, is made once from those sums.  A walked row (step key, o, c, tk, advance,
+    j) is the c steps of one block that lie in one sample interval, from step o of the block: tk holds
+    the block's sums, advance(o + i, y) takes step i, and the samples before j have been reached at the
+    row's end.  The last row is None.
     """
     t_lo, m, size, full = entries.T
     dim, dt, horizon, full = op.dim, cfg.dt, schedule.horizon, full == 1
@@ -810,35 +847,43 @@ def _table(op: _Operator, schedule: MuSchedule, cfg: SimConfig, entries: np.ndar
     R = op.step_map(dt) if op.W is None and mapped.any() else None
     step = op.relay_step(dt) if op.W is not None and mapped.any() else functools.partial(_lin, R, one)
     Q = op.step_poly(dt) if (paths == 1).any() else None
-    # An entry that is a whole sample interval of more than one step is one product while a ||y|| bound rules
-    # out an escape: R^n for LTI steps, and for five-term steps, when enough intervals repay its build,
-    # `interval_series` cut to the terms its tail needs
+    # An entry that is a whole sample interval of more than one step can be a product while a ||y|| bound
+    # rules out an escape: in a run of LTI intervals, and for five-term steps, when enough intervals repay
+    # its build, as `interval_series` cut to the terms its tail needs
     whole = (np.diff(ks.searchsorted(k)) > 0) & (np.diff(ks.searchsorted(k, "right")) > 0) & (m > 1)
     jump, series = whole & small & (op.W is None) & (paths == 2), whole & (paths == 1)
-    maps, u = {}, mu(schedule, t_lo) * dt  # the product rows by entry; u = mu(t_lo) dt
-    for n in set(m[jump].astype(int).tolist()):  # ||y|| max(1, ||R||)^n bounds ||R^j y||
-        row = ("jump_intervals", "jump_steps", n, np.linalg.matrix_power(R, n), one,
-               max(1, abs(R).sum(axis=1).max()) ** n)
-        maps.update(dict.fromkeys(np.flatnonzero(jump & (m == n)).tolist(), row))
+    # maps: (row, block) by a product's first entry; ends: the entry after each product; u = mu(t_lo) dt
+    maps, ends, u = {}, [], mu(schedule, t_lo) * dt
+    head = jump & ~np.r_[False, jump[:-1] & (m[1:] == m[:-1])]  # the first interval of a run of equal m
+    heads, lengths = np.flatnonzero(head), np.bincount(np.cumsum(head)[jump])[1:]
+    for n in set(m[heads].astype(int).tolist()):
+        on = m[heads] == n
+        B = max(1, min(round(math.sqrt(lengths[on].max())), RUN_BLOCK_VALUES // dim**2))
+        S, norm = np.empty((B, dim, dim)), 1.0  # norm: max ||P^i|| over i < B, P = R^n
+        S[0] = np.linalg.matrix_power(R, n)
+        for i in range(1, B):
+            norm = max(norm, np.abs(S[i - 1]).sum(axis=1).max())
+            np.matmul(S[i - 1], S[0], out=S[i])
+        # max(1, ||R||)^n bounds the steps of one interval, as norm does its whole intervals
+        row = ("jump_intervals", "jump_steps", n, S.reshape(-1, dim), None,
+               norm * max(1, abs(R).sum(axis=1).max()) ** n)
+        maps.update(dict.fromkeys(heads[on].tolist(), (row, B)))
+        ends += (heads[on] + lengths[on]).tolist()
     for n in set(m[series].astype(int).tolist()):
         u_d, bound = op.series_reach(dt, n)
         on = np.flatnonzero(series & (m == n) & (u <= u_d[-1]))
         if len(on) >= SERIES_MIN_INTERVALS * dim:  # w = u^0 .. u^(c-1), c terms
-            P, v = op.interval_series(dt, n), u[on]
-            c, W, b = np.searchsorted(u_d, v) + 1, v[:, None] ** np.arange(SERIES_DEGREE + 1), bound(v)
-            maps.update((e, ("series_intervals", "series_steps", n, P[:c[i] * dim], W[i, :c[i]], b[i]))
+            v = u[on]
+            c = np.searchsorted(u_d, v) + 1  # the series is built to the degree its intervals take
+            P, W, b = op.interval_series(dt, n, int(c.max()) - 1), v[:, None] ** np.arange(c.max()), bound(v)
+            maps.update((e, (("series_intervals", "series_steps", n, P[:c[i] * dim], W[i, :c[i]], b[i]), 1))
                         for i, e in enumerate(on.tolist()))
+            ends += (on + 1).tolist()
     # the stage gains mu(t + tau h), here of each entry's first step: all that a one-step entry needs
     tau, powers = np.array([0.0, 0.5, 0.5, 1.0]), np.arange(5)
     first = mu(schedule, t_lo[:, None] + size[:, None] * tau)
 
-    # runs of walked entries: a clipped or guard-shrunk step, or the full steps of a stretch between products
-    # (a stretch's entries share one path: it ends before the clamp, and before the horizon)
-    cut = np.isin(np.arange(len(m)), np.fromiter(maps, int, len(maps))) | ~full
-    starts = np.flatnonzero(cut | np.r_[True, cut[:-1]]).tolist()
-    for e, e1 in zip(starts, starts[1:] + [len(m)]):
-        if e in maps and (yield maps[e]):
-            continue
+    def walk(e, e1):  # the steps of the entries e .. e1 - 1, which share one path
         tk, h, path = [t_lo[e]], size[e].item(), paths[e]
         for b in range(k[e], k[e1], BLOCK_STEPS):  # each block summed on from the last float of the one before
             tk = _sums(tk[-1], h, min(k[e1] - b, BLOCK_STEPS))
@@ -855,11 +900,28 @@ def _table(op: _Operator, schedule: MuSchedule, cfg: SimConfig, entries: np.ndar
             cuts = [b, *range(b - b % cfg.stride + cfg.stride, b + len(tk) - 1, cfg.stride), b + len(tk) - 1]
             for lo, hi, j in zip(cuts, cuts[1:], ks.searchsorted(cuts[1:], "right").tolist()):
                 yield key, lo - b, hi - lo, tk, advance, j
+
+    # stretches of walked entries: a clipped or guard-shrunk step, or the full steps of a stretch between
+    # products (a stretch's entries share one path: it ends before the clamp, and before the horizon)
+    cut = np.zeros(len(m) + 1, bool)
+    cut[[0, *maps, *ends]] = True
+    cut[:-1] |= ~full
+    cut[1:] |= ~full
+    starts = np.flatnonzero(cut[:-1]).tolist()
+    for e, e1 in zip(starts, starts[1:] + [len(m)]):
+        row, block = maps.get(e, (None, e1 - e))
+        while e < e1:
+            if row is not None:
+                e += yield row + (e1 - e,)
+            lo, e = e, min(e + block, e1)
+            if lo < e:
+                yield from walk(lo, e)
     yield None
 
 
 def _drive(op: _Operator, y0: np.ndarray, schedule: MuSchedule, cfg: SimConfig):
-    """Apply the rows of `_table` from y0.  Returns (times, samples, escaped, escape_time, diagnostic, stats)."""
+    """Apply the rows of `_table` from y0, sending back how many intervals of each product row it applied.
+    Returns (times, samples, escaped, escape_time, diagnostic, stats)."""
     entries, samples = _plan(schedule, cfg, op.guarded)
     ts, ks = np.array([t for t, _ in samples]), np.array([k for _, k in samples])
     rows, taken, t_esc = _table(op, schedule, cfg, entries, ks, ts), None, None
@@ -871,14 +933,18 @@ def _drive(op: _Operator, y0: np.ndarray, schedule: MuSchedule, cfg: SimConfig):
     Y[0] = y0
     with np.errstate(all="ignore"):
         while (row := rows.send(taken)) is not None:
-            if row[0] in ("jump_intervals", "series_intervals"):  # the next sample interval, if its bound allows
-                ikey, skey, n, P, w, bound = row
-                taken = np.abs(y).max() * bound <= 0.5 * ESCAPE_NORM
+            if row[0] in ("jump_intervals", "series_intervals"):  # as many of c sample intervals as the bound allows
+                ikey, skey, n, P, w, bound, c = row
+                if w is None:
+                    taken = _run(P, bound, y, Y[j:j + c])
+                else:
+                    taken = int(np.abs(y).max() * bound <= 0.5 * ESCAPE_NORM)
+                    if taken:
+                        Y[j] = _lin(P, w, y)
                 if taken:
-                    y = Y[j] = _lin(P, w, y)
-                    j += 1
-                    stats[ikey] += 1
-                    stats[skey] += n
+                    y, j = Y[j + taken - 1], j + taken
+                    stats[ikey] += taken
+                    stats[skey] += n * taken
             else:
                 key, o, c, tk, advance, hi = row
                 for i in range(c):

@@ -1,4 +1,6 @@
 import copy
+import errno
+import os
 import tempfile
 from dataclasses import replace
 from pathlib import Path
@@ -22,7 +24,7 @@ from ptcor.scenario import (
     scenario_to_dict,
     write_scenario,
 )
-from ptcor.sim import MuSchedule, SimConfig, compile_model
+from ptcor.sim import MuSchedule, SimConfig, Trajectory, compile_model
 
 
 @pytest.fixture()
@@ -376,6 +378,16 @@ class TestCli:
         monkeypatch.setattr(ptcor.cli, "integrate", integrate)
         rc = main([command, scenario, "--dt", "1e-3", "--out", str(out)])
         assert rc == 2 and capsys.readouterr().err.startswith("schema: [Errno")
+
+    @pytest.mark.parametrize("command, label", [("simulate", "output_fb"), ("certify", "output_fb"),
+                                                ("compare", "ptcor_output_fb")])
+    def test_output_that_cannot_be_written_is_a_run_failure(self, tmp_path, capsys, monkeypatch, command, label):
+        def full_disk(traj, path):
+            raise OSError(errno.ENOSPC, os.strerror(errno.ENOSPC))
+        monkeypatch.setattr(Trajectory, "to_csv", full_disk)
+        rc = main([command, "example1_rlc", "--dt", "1e-3", "--out", str(tmp_path)])
+        path = tmp_path / f"example1_rlc_{label}_trajectory.csv"
+        assert rc == 4 and capsys.readouterr().err == f"output: {path}: {os.strerror(errno.ENOSPC)}\n"
 
 
 def key_paths(node, path=()):

@@ -30,6 +30,7 @@ from ptcor.sim import (
     _GRows,
     _Operator,
     _plan,
+    _table,
     check_step_budget,
     compile_model,
     integrate,
@@ -750,24 +751,29 @@ class TestDriveMatchesOracle:
         expected = eye + (h / 6.0) * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
         assert np.abs(op.step_map(h) - expected).max() <= 1e-14
 
-    @pytest.mark.parametrize("mode, kbar, stride", [("state_fb", 3.0, 5), ("output_fb", 10.0, 8)])
+    @pytest.mark.parametrize("mode, kbar, stride", [("state_fb", 3.0, 5), ("output_fb", 10.0, 8),
+                                                    ("output_fb", 3.0, 5)])
     def test_escape_inside_post_horizon_stretch(self, mode, kbar, stride):
         # A + B Kbar = kbar - 1 and a K = -0.2 leave the post-horizon loop unstable
         s = scalar_scenario(mode=mode, duration=30.0)
         s.gain_spec = replace(s.gain_spec, Kbar=np.array([[kbar]]))
         s.mu_schedule = MuSchedule(T=1.0, a=0.1)
-        cfg = replace(s.sim_config, stride=stride)
-        _, (t, Y, escaped, t_esc, diag), ref = drive_both(s, compile_model(s), cfg)
+        cfg, model = replace(s.sim_config, stride=stride), compile_model(s)
+        op, (t, Y, escaped, t_esc, diag), ref = drive_both(s, model, cfg)
         assert escaped and ref[2]
         assert t_esc == ref[3] and diag == ref[4]
         assert np.array_equal(t, ref[0])
         assert np.abs(Y - ref[1]).max() <= 1e-10 * np.abs(ref[1]).max()
-        # sample intervals of full steps past the horizon are one product with R^m while
-        # ||y|| ||R||^m stays within ESCAPE_NORM / 2, and are walked step by step after that
-        R = _Operator(compile_model(s), mode, cfg.baseline).step_map(cfg.dt)
+        # sample intervals of full steps past the horizon are products while ||y|| ||R||^m stays within
+        # ESCAPE_NORM / 2, and are walked step by step after that
+        R = op.step_map(cfg.dt)
         reach = np.abs(Y).max(axis=1) * np.abs(R).sum(axis=1).max() ** stride / (0.5 * ESCAPE_NORM)
         post = t > s.mu_schedule.horizon + stride * cfg.dt
         assert reach[post][0] <= 1e-3 and reach[-1] > 1.0
+        # a dense loop's run of stride-step intervals took two blocks of B or more before the escape's
+        blocks = [len(S) // op.dim for _, _, n, S, *_ in run_rows(op, s.mu_schedule, cfg) if n == stride]
+        assert len(blocks) == (not op.sparse)
+        assert integrate(s, cfg, model=model).stats["jump_intervals"] >= 2 * max(blocks, default=0)
         if kbar == 3.0:
             assert t_esc == pytest.approx(26.753) and len(t) == 5369
         else:  # the escaping step is not the first of its chunk
@@ -1025,6 +1031,83 @@ class TestIntervalSeries:
         assert (np.abs(Y - ref[1]) <= 1e-12 * np.abs(ref[1]).max(axis=0)).all()
         stats = integrate(s, cfg).stats
         assert (stats["series_intervals"] > 0) == (cap > 2.0)
+
+
+def lti_intervals(op, schedule, cfg):
+    """(lo, m) for each sample interval from sample lo that is m > 1 full LTI steps: the intervals of
+    the runs that `_table` takes as products."""
+    entries, samples = _plan(schedule, cfg, op.guarded)
+    index, k = {t: i for i, (t, _) in enumerate(samples)}, [k for _, k in samples]
+    return [(index[t], int(m)) for t, m, _, full in entries
+            if full and m > 1 and (not op.guarded or t >= schedule.horizon) and t in index
+            and k[index[t] + 1] - k[index[t]] == m]
+
+
+def run_rows(op, schedule, cfg):
+    """The rows `_table` offers for runs of LTI intervals when every product is taken whole."""
+    entries, samples = _plan(schedule, cfg, op.guarded)
+    ts, ks = (np.array(c) for c in zip(*samples))
+    rows, taken, out = _table(op, schedule, cfg, entries, ks, ts), None, []
+    while (row := rows.send(taken)) is not None:
+        taken = row[-1] if row[0] in ("jump_intervals", "series_intervals") else None
+        out += [row] if row[0] == "jump_intervals" else []
+    return out
+
+
+class TestLtiRuns:
+    """A run of consecutive LTI sample intervals is one row: its block starts come from the chain
+    y <- R^(Bn) y and the samples of its blocks from one product with [R^n; .. R^(Bn)]; against a walk of
+    y <- R y step by step from each run's first sample."""
+
+    @pytest.mark.parametrize("case", ["ex2_asymptotic", "ex2_state_fb", "short_run"])
+    def test_runs_match_a_step_by_step_walk(self, bundled_models, case):
+        if case == "short_run":  # 9 intervals before the horizon at T = 0.05, shorter than a block of the 590 after
+            s = scalar_scenario(mode="baseline_asymptotic", T=0.05, duration=3.0)
+            model, cfg = compile_model(s), s.sim_config
+        else:  # 200 and 799 intervals at dt 5e-4; 3999 of 10 steps (and one of 4) past the horizon
+            s, model = bundled_models["example2_ccvsi"]
+            cfg = replace(s.sim_config, **({"mode": "baseline_asymptotic", "dt": 5e-4} if case == "ex2_asymptotic"
+                                           else {"mode": "state_fb"}))
+        op = _Operator(model, cfg.mode, cfg.baseline)
+        y0 = op.initial_state(s.exo.v0_init, s.v_init, s.x_init, s.xhat_init)
+        t, Y, escaped, _, _, stats = _drive(op, y0, s.mu_schedule, cfg)
+        intervals = lti_intervals(op, s.mu_schedule, cfg)
+        assert not escaped and len(intervals) == {"ex2_asymptotic": 1000, "ex2_state_fb": 4000}.get(case, 599)
+        # every LTI interval is in a product, none is walked
+        assert (stats["jump_intervals"], stats["jump_steps"]) == (len(intervals), sum(m for _, m in intervals))
+        rows = run_rows(op, s.mu_schedule, cfg)
+        if case == "short_run":
+            assert min(c - len(S) // op.dim for *_, S, _, _, c in rows) < 0
+        R, walked, last = op.step_map(cfg.dt), {}, None
+        for lo, m in intervals:
+            y = y if last == (lo - 1, m) else Y[lo]  # a run starts from its first sample
+            for _ in range(m):
+                y = R @ y
+            walked[lo + 1], last = y, (lo, m)
+        at = np.array(list(walked))
+        scale = np.abs(Y[np.r_[at - 1, at]]).max(axis=0)  # each column's largest value in the runs
+        assert (np.abs(Y[at] - np.array(list(walked.values()))) <= 1e-13 * scale).all()
+
+    @pytest.mark.parametrize("kbar", [0.0, 3.0])
+    def test_block_bound_covers_every_step(self, kbar):
+        # past T = 1 the scalar loop decays (kbar 0) or grows (kbar 3): S stacks R^n .. R^(Bn), and the bound is
+        # max(||R^(in)||, i < B) max(1, ||R||)^n, so that ||y|| bound bounds every step of a block from y
+        s = scalar_scenario(duration=30.0)
+        s.gain_spec = replace(s.gain_spec, Kbar=np.array([[kbar]]))
+        s.mu_schedule = MuSchedule(T=1.0, a=0.1)
+        op = _Operator(compile_model(s), "state_fb", s.sim_config.baseline)
+        R, norm = op.step_map(s.sim_config.dt), lambda M: np.abs(M).sum(axis=1).max()
+        rows = run_rows(op, s.mu_schedule, s.sim_config)
+        assert max(len(S) // op.dim for *_, S, _, _, _ in rows) == 76  # sqrt of the 5799 intervals of 5 steps
+        for _, _, n, S, _, bound, _ in rows:
+            B, M, steps = len(S) // op.dim, np.eye(op.dim), []
+            for _ in range(B * n):
+                steps.append(M)
+                M = R @ M
+            powers = np.array(steps[::n][1:] + [M])  # R^n .. R^(Bn)
+            assert (np.abs(S.reshape(B, op.dim, op.dim) - powers) <= 1e-13 * np.abs(powers).max()).all()
+            assert bound == pytest.approx(max(map(norm, steps[::n])) * max(1.0, norm(R)) ** n, rel=1e-12)
+            assert max(map(norm, steps + [M])) <= bound
 
 
 class TestRunStats:
